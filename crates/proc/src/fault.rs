@@ -38,6 +38,14 @@ pub enum Fault {
         /// Target node.
         node: usize,
     },
+    /// Fail the run with an error right after the `Start` barrier: the
+    /// worker reports it in an `Error` frame and exits non-zero, and its
+    /// peers then fail on the broken connections.  The coordinator must
+    /// blame this node, not a peer that reported the fallout.
+    ErrorAfterStart {
+        /// Target node.
+        node: usize,
+    },
     /// The worker SIGKILLs itself `after_ms` past the `Start` barrier:
     /// no unwinding, no error frame, no flushed telemetry — the closest
     /// a test gets to yanking a machine's power cord.
@@ -72,6 +80,7 @@ impl Fault {
         match *self {
             Fault::StallStreamer { node, .. }
             | Fault::PanicAfterStart { node }
+            | Fault::ErrorAfterStart { node }
             | Fault::Sigkill { node, .. }
             | Fault::WireDelay { node, .. }
             | Fault::DropHeartbeats { node, .. } => node,
@@ -84,6 +93,7 @@ impl fmt::Display for Fault {
         match *self {
             Fault::StallStreamer { node, ms } => write!(f, "stall:{node}:{ms}"),
             Fault::PanicAfterStart { node } => write!(f, "panic:{node}"),
+            Fault::ErrorAfterStart { node } => write!(f, "error:{node}"),
             Fault::Sigkill { node, after_ms } => write!(f, "kill:{node}:{after_ms}"),
             Fault::WireDelay { node, ms } => write!(f, "delay:{node}:{ms}"),
             Fault::DropHeartbeats { node, first_n } => write!(f, "drop:{node}:{first_n}"),
@@ -164,12 +174,10 @@ impl FaultPlan {
             };
             plan.faults.push(match kind {
                 "stall" => Fault::StallStreamer { node, ms: num("bad stall ms")? },
-                "panic" => {
-                    if arg.is_some() {
-                        return Err(err("panic takes no argument"));
-                    }
-                    Fault::PanicAfterStart { node }
-                }
+                "panic" if arg.is_some() => return Err(err("panic takes no argument")),
+                "panic" => Fault::PanicAfterStart { node },
+                "error" if arg.is_some() => return Err(err("error takes no argument")),
+                "error" => Fault::ErrorAfterStart { node },
                 "kill" => Fault::Sigkill { node, after_ms: num("bad kill delay")? },
                 "delay" => Fault::WireDelay { node, ms: num("bad delay ms")? },
                 "drop" => Fault::DropHeartbeats { node, first_n: num("bad drop count")? },
@@ -202,6 +210,13 @@ impl FaultPlan {
     #[must_use]
     pub fn panics_after_start(&self, node: usize) -> bool {
         self.faults.iter().any(|f| matches!(*f, Fault::PanicAfterStart { node: n } if n == node))
+    }
+
+    /// True when `node` must fail with a reported error after the start
+    /// barrier.
+    #[must_use]
+    pub fn errors_after_start(&self, node: usize) -> bool {
+        self.faults.iter().any(|f| matches!(*f, Fault::ErrorAfterStart { node: n } if n == node))
     }
 
     /// Self-SIGKILL delay for `node`, if any.
@@ -244,11 +259,12 @@ mod tests {
         let plan = FaultPlan::new()
             .with(Fault::StallStreamer { node: 1, ms: 500 })
             .with(Fault::PanicAfterStart { node: 0 })
+            .with(Fault::ErrorAfterStart { node: 1 })
             .with(Fault::Sigkill { node: 2, after_ms: 100 })
             .with(Fault::WireDelay { node: 1, ms: 5 })
             .with(Fault::DropHeartbeats { node: 3, first_n: 4 });
         let text = plan.to_env_value();
-        assert_eq!(text, "stall:1:500;panic:0;kill:2:100;delay:1:5;drop:3:4");
+        assert_eq!(text, "stall:1:500;panic:0;error:1;kill:2:100;delay:1:5;drop:3:4");
         assert_eq!(FaultPlan::parse(&text).unwrap(), plan);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::new());
         assert_eq!(FaultPlan::parse(" stall:1:500 ; ").unwrap().stall_ms(1), Some(500));
@@ -264,6 +280,7 @@ mod tests {
         assert_eq!(plan.wire_delay_ms(1), Some(5));
         assert_eq!(plan.wire_delay_ms(2), None);
         assert!(!plan.panics_after_start(2));
+        assert!(!plan.errors_after_start(2));
         assert_eq!(plan.drop_heartbeats(0), 0);
         assert_eq!(plan.faults()[0].node(), 2);
         assert!(!plan.is_empty());
@@ -278,6 +295,7 @@ mod tests {
             ("stall:1", "bad stall ms"),
             ("stall:1:x", "bad stall ms"),
             ("panic:1:5", "panic takes no argument"),
+            ("error:1:5", "error takes no argument"),
             ("kill:1:5:9", "too many fields"),
             ("flood:1:5", "unknown fault kind"),
         ] {

@@ -38,7 +38,7 @@ pub mod wire;
 pub mod worker;
 
 pub use assignment::{Assignment, ReAssignment, REASSIGN_SCHEMA};
-pub use coordinator::{Polled, WorkerFailure, WorkerPool};
+pub use coordinator::{WorkerFailure, WorkerPool};
 pub use corr::{
     corr_document, deterministic_view, validate_corr, CorrRow, CORR_NONDETERMINISTIC, CORR_SCHEMA,
     CORR_TOLERANCE,
@@ -48,6 +48,7 @@ pub use metrics::{WorkerMetrics, METRICS_SCHEMA};
 pub use worker::maybe_worker;
 
 use crate::assignment::{ObsSpec, PhasePlan, ReadEdge};
+use crate::coordinator::{Event, NodeState};
 use crate::wire::Message;
 use orwl_cluster::{
     inter_node_bytes, policy_placement, reshard_after_node_loss, split_hop_bytes, ClusterMachine,
@@ -70,10 +71,11 @@ use std::time::{Duration, Instant};
 
 /// Configuration of live telemetry: while the run executes, every worker
 /// streams a heartbeat and an interval delta per `interval`, and the
-/// coordinator folds them into a [`LiveAggregator`], surfaces each
-/// arrival through `on_event`, and flags any node silent for more than
-/// `straggler_intervals` intervals as a straggler — *before* the run's
-/// recv deadline turns the silence into a hard failure.
+/// coordinator's readiness loop folds them into a [`LiveAggregator`],
+/// surfaces each arrival through `on_event`, and flags any node silent
+/// for more than `straggler_intervals` intervals as a straggler — the
+/// flag is one of the loop's deadlines, so it fires on time, *before*
+/// the io timeout turns the silence into a hard failure.
 ///
 /// Live streaming requires an observed run (`SessionConfig::observe`):
 /// the deltas are drained from the worker's recorder, so a dark run has
@@ -149,7 +151,7 @@ pub enum LiveEvent {
     },
     /// A node exceeded its missed-heartbeat budget — the typed warning
     /// that precedes the eventual `WorkerFailed` if the silence persists
-    /// to the recv deadline.
+    /// to the io timeout.
     Straggler {
         /// The silent node.
         node: usize,
@@ -170,8 +172,8 @@ pub enum LiveEvent {
     },
 }
 
-/// The coordinator-side live monitor: consumes streaming frames during
-/// the done-wait, rebases deltas onto the coordinator clock (each delta
+/// The coordinator-side live monitor: consumes streaming frames from the
+/// readiness loop, rebases deltas onto the coordinator clock (each delta
 /// carries its track's NTP-midpoint offset), aggregates them, tracks
 /// per-node liveness and keeps every delta for the post-run fold.
 struct LiveMonitor<'a> {
@@ -183,9 +185,6 @@ struct LiveMonitor<'a> {
     heartbeats: u64,
     delta_bytes: u64,
     stragglers_flagged: u64,
-    node_losses: u64,
-    reshards: u64,
-    tasks_migrated: u64,
 }
 
 impl<'a> LiveMonitor<'a> {
@@ -199,9 +198,6 @@ impl<'a> LiveMonitor<'a> {
             heartbeats: 0,
             delta_bytes: 0,
             stragglers_flagged: 0,
-            node_losses: 0,
-            reshards: 0,
-            tasks_migrated: 0,
         }
     }
 
@@ -236,12 +232,26 @@ impl<'a> LiveMonitor<'a> {
         self.emit(&LiveEvent::Done { node });
     }
 
-    /// Flags any not-yet-done node whose silence exceeds the budget; a
-    /// node is flagged once per silence episode (a heartbeat clears it).
-    fn check_stragglers(&mut self, done: &[bool]) {
-        let budget = self.cfg.interval * self.cfg.straggler_intervals.max(1);
-        for (node, &node_done) in done.iter().enumerate().take(self.flagged.len()) {
-            if node_done || self.flagged[node] {
+    fn straggler_budget(&self) -> Duration {
+        self.cfg.interval * self.cfg.straggler_intervals.max(1)
+    }
+
+    /// When the next watched, not yet flagged node turns straggler if it
+    /// stays silent — a deadline for the readiness loop.
+    fn next_flag(&self, watched: &[bool]) -> Option<Instant> {
+        let budget = self.straggler_budget();
+        (0..watched.len())
+            .filter(|&n| watched[n] && !self.flagged[n])
+            .map(|n| self.last_beat[n] + budget)
+            .min()
+    }
+
+    /// Flags any watched node whose silence exceeds the budget; a node is
+    /// flagged once per silence episode (a heartbeat clears it).
+    fn check_stragglers(&mut self, watched: &[bool]) {
+        let budget = self.straggler_budget();
+        for (node, &watch) in watched.iter().enumerate() {
+            if !watch || self.flagged[node] {
                 continue;
             }
             let silent_for = self.last_beat[node].elapsed();
@@ -257,7 +267,7 @@ impl<'a> LiveMonitor<'a> {
     /// Streams the run summary into the coordinator recorder's metrics,
     /// so the merged telemetry records that (and how much) the run was
     /// watched live.
-    fn record_summary(&self, recorder: &Recorder) {
+    fn record_summary(&self, recorder: &Recorder, recovery: Option<&RecoveryState>) {
         let metrics = recorder.metrics();
         metrics.counter("live.heartbeats").add(self.heartbeats);
         metrics.counter("live.deltas").add(self.deltas.iter().map(|d| d.len() as u64).sum());
@@ -267,10 +277,11 @@ impl<'a> LiveMonitor<'a> {
         // Recovery counters appear only when a loss actually happened, so
         // a fault-free run's telemetry is identical to a build without
         // recovery enabled.
-        if self.node_losses > 0 {
-            metrics.counter("live.node_losses").add(self.node_losses);
-            metrics.counter("live.reshards").add(self.reshards);
-            metrics.counter("live.tasks_migrated").add(self.tasks_migrated);
+        if let Some(state) = recovery.filter(|state| !state.down.is_empty()) {
+            let losses = state.down.len() as u64;
+            metrics.counter("live.node_losses").add(losses);
+            metrics.counter("live.reshards").add(losses);
+            metrics.counter("live.tasks_migrated").add(state.tasks_migrated);
         }
     }
 }
@@ -282,15 +293,18 @@ impl<'a> LiveMonitor<'a> {
 /// the lost node's tasks onto them ([`orwl_cluster::reshard_after_node_loss`] —
 /// only the affected shard moves) and resumes the run degraded.
 ///
-/// Recovery requires live telemetry on an observed run
-/// ([`ProcBackend::with_live`] + `SessionConfig::observe`): loss
-/// detection rides the heartbeat stream, so a dark run has no liveness
-/// signal to act on and the config is ignored.
+/// Losses confirmed by a hang-up or an exit are recovered on every run
+/// that sets this config.  Confirming a loss from heartbeat silence
+/// (`kill_confirmation`) needs the heartbeat stream, so it applies only
+/// to live observed runs ([`ProcBackend::with_live`] +
+/// `SessionConfig::observe`); elsewhere silence fails the run at the io
+/// timeout.
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
-    /// Heartbeat silence after which a node is declared dead (capped by
-    /// the backend's io timeout).  Process exit and socket closure are
-    /// confirmed immediately; the budget only gates the silent-hang case.
+    /// Heartbeat silence after which a node is declared dead on live runs
+    /// (capped by the backend's io timeout).  Process exit and socket
+    /// closure are confirmed immediately; the budget only gates the
+    /// silent-hang case.
     pub kill_confirmation: Duration,
     /// Losses tolerated before the run fails anyway.  A loss *during*
     /// recovery is always fatal, whatever the budget says.
@@ -330,12 +344,14 @@ struct RecoverySummary {
 }
 
 /// The coordinator's mutable recovery state across one run: the current
-/// routing table (updated by every re-shard) and the casualty list.
+/// routing table (updated by every re-shard), the casualty list and the
+/// tasks moved so far.
 struct RecoveryState {
     cfg: RecoveryConfig,
     node_of_task: Vec<usize>,
     down: Vec<usize>,
     round: u32,
+    tasks_migrated: u64,
 }
 
 /// What a completed control protocol hands back: the wall-clocked
@@ -409,8 +425,8 @@ impl ProcBackend {
     }
 
     /// Enables failure-driven recovery: a confirmed node loss re-shards
-    /// the lost tasks onto the survivors instead of failing the run.
-    /// Takes effect only on live observed runs (see [`RecoveryConfig`]).
+    /// the lost tasks onto the survivors instead of failing the run (see
+    /// [`RecoveryConfig`] for which losses each kind of run confirms).
     #[must_use]
     pub fn with_recovery(mut self, recovery: RecoveryConfig) -> Self {
         self.recovery = Some(recovery);
@@ -513,408 +529,89 @@ impl ProcBackend {
 
     /// Drives the coordinator side of the control protocol to completion:
     /// handshake, assignments, synchronized start, the wall-clocked
-    /// execution span, telemetry collection (observed runs), shutdown,
-    /// and one metrics document per worker.
+    /// execution span, shutdown with telemetry collection (observed runs),
+    /// and one metrics document per worker.  Each wait is one
+    /// [`Run::drive`] of the readiness loop to the next node state.
     fn run_protocol(
         &self,
-        mut pool: WorkerPool,
+        pool: WorkerPool,
         workload: &PhasedWorkload,
         node_of_task: &[usize],
         observe: Option<&ObsConfig>,
         recorder: Option<&Recorder>,
     ) -> Result<ProtocolOutcome, WorkerFailure> {
         // Live streaming needs a worker recorder to drain, so the live
-        // config takes effect only on observed runs.  Recovery in turn
-        // needs the heartbeat stream as its liveness signal, so it takes
-        // effect only on live runs.
+        // config takes effect only on observed runs.
         let live = self.live.as_ref().filter(|_| observe.is_some());
-        let mut recovery = live.and(self.recovery.as_ref()).map(|cfg| RecoveryState {
+        let recovery = self.recovery.as_ref().map(|cfg| RecoveryState {
             cfg: cfg.clone(),
             node_of_task: node_of_task.to_vec(),
             down: Vec::new(),
             round: 0,
+            tasks_migrated: 0,
         });
         let mut assignments = self.assignments(workload, node_of_task, &pool, recovery.is_some());
         let n_nodes = assignments.len();
-        pool.accept_controls()?;
+        let mut run = Run {
+            backend: self,
+            pool,
+            workload,
+            recorder,
+            monitor: None,
+            recovery,
+            last_activity: vec![Instant::now(); n_nodes],
+            uploads: Vec::new(),
+            metrics: Vec::new(),
+        };
+        run.pool.accept_controls()?;
         for (node, assignment) in assignments.iter_mut().enumerate() {
             // The obs spec is stamped per node at send time: it carries
             // the two coordinator-side handshake timestamps the worker
             // needs for its clock-offset estimate, and the send stamp
             // must be taken as late as possible.
             if let Some(cfg) = observe {
-                let mut spec = ObsSpec::new(cfg, pool.hello_recv_us(node), orwl_obs::process_clock_us());
+                let mut spec = ObsSpec::new(cfg, run.pool.hello_recv_us(node), orwl_obs::process_clock_us());
                 if let Some(live) = live {
                     spec = spec.with_stream_interval_ms((live.interval.as_millis() as u64).max(1));
                 }
                 assignment.obs = Some(spec);
             }
-            pool.send_to(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
+            run.pool.send_to(node, &Message::Assignment { json: assignment.to_json().pretty() })?;
         }
-        for node in 0..n_nodes {
-            pool.recv_from(node, "ready")?;
-        }
+        run.drive(NodeState::Running)?;
         let started = Instant::now();
-        pool.broadcast(&Message::Start)?;
-        let mut monitor = live.map(|cfg| LiveMonitor::new(n_nodes, cfg));
-        match monitor.as_mut() {
-            None => {
-                for node in 0..n_nodes {
-                    pool.recv_from(node, "done")?;
-                }
-            }
-            Some(monitor) => {
-                self.monitor_run(&mut pool, monitor, n_nodes, workload, &mut recovery, recorder)?;
-            }
-        }
+        run.pool.broadcast(&Message::Start)?;
+        run.monitor = live.map(|cfg| LiveMonitor::new(n_nodes, cfg));
+        run.drive(NodeState::Done)?;
         let elapsed = started.elapsed();
         // Shutdown is broadcast *before* collecting telemetry: once every
         // node has reported Done, every section anywhere has been granted
         // and released, so a worker that drains its recorder after seeing
         // Shutdown misses no owner-side events.  (Draining at Done would
-        // race a slow peer's read storm against the drain.)
-        pool.broadcast(&Message::Shutdown)?;
-        let mut uploads = Vec::new();
-        if observe.is_some() {
-            // A lost node uploads nothing: its telemetry died with it.
-            // (Its pre-loss streamed deltas have no snapshot to fold
-            // into, so they survive only as live counters — documented
-            // in DESIGN.md's recovery limits.)
-            let alive: Vec<usize> = (0..n_nodes).filter(|&node| !pool.is_dead(node)).collect();
-            for node in alive {
-                let Message::TelemetryUpload { node: from, snapshot } =
-                    pool.recv_from(node, "telemetry_upload")?
-                else {
-                    unreachable!("recv_from returns the requested kind");
-                };
-                match TelemetrySnapshot::decode(&snapshot) {
-                    Ok(snap) => uploads.push((from, snap)),
-                    Err(e) => {
-                        return Err(pool.fail(Some(node), format!("bad telemetry snapshot: {e}")));
-                    }
-                }
-            }
-        }
-        if let Some(monitor) = monitor.as_mut() {
-            // Streaming frames can race any protocol step (a worker's last
-            // interval fires while its Done or upload is in flight);
-            // `recv_from` stashed them instead of failing, so no delta is
-            // lost.  A worker stops streaming before it uploads, so by now
-            // the stash is complete.
-            for (node, message) in pool.take_stray() {
-                match message {
-                    Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                    Message::TelemetryDelta { delta, .. } => {
-                        monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                    }
-                    _ => unreachable!("recv_from stashes only streaming frames"),
-                }
-            }
+        // race a slow peer's read storm against the drain.)  A lost node
+        // uploads nothing: its telemetry died with it.
+        run.pool.broadcast(&Message::Shutdown)?;
+        run.drive(NodeState::Drained)?;
+        let Run { mut uploads, mut metrics, monitor, recovery, .. } = run;
+        uploads.sort_by_key(|(from, _)| *from);
+        metrics.sort_by_key(|m| m.node);
+        if let Some(monitor) = &monitor {
             // Mid-run deltas drained events the final snapshots no longer
             // hold: fold them back so the merged timeline is identical to
             // a non-streaming observed run (delta events dedup by seq;
             // metric state needs no fold — registry snapshots are
             // cumulative, so the final snapshot subsumes every delta).
+            // A worker stops streaming before it uploads, and one
+            // connection keeps its frames in order, so every delta is in.
             for (from, snap) in &mut uploads {
                 fold_deltas(snap, &monitor.deltas[*from as usize]);
             }
             if let Some(recorder) = recorder {
-                monitor.record_summary(recorder);
+                monitor.record_summary(recorder, recovery.as_ref());
             }
         }
-        let mut metrics = Vec::with_capacity(n_nodes);
-        let alive: Vec<usize> = (0..n_nodes).filter(|&node| !pool.is_dead(node)).collect();
-        for node in alive {
-            let Message::Metrics { json, .. } = pool.recv_from(node, "metrics")? else {
-                unreachable!("recv_from returns the requested kind");
-            };
-            let parsed = Json::parse(&json)
-                .map_err(|e| format!("metrics document is not valid JSON: {e}"))
-                .and_then(|doc| WorkerMetrics::from_json(&doc));
-            match parsed {
-                Ok(m) => metrics.push(m),
-                Err(e) => return Err(pool.fail(Some(node), format!("bad metrics report: {e}"))),
-            }
-        }
-        pool.wait_all()?;
-        let summary = recovery
-            .map(|state| RecoverySummary { node_reshards: state.down.len() as u64 })
-            .unwrap_or_default();
+        let summary = RecoverySummary { node_reshards: recovery.map_or(0, |state| state.down.len() as u64) };
         Ok((elapsed, metrics, uploads, summary))
-    }
-
-    /// The live done-wait: round-robins a short-slice poll over every
-    /// worker's control connection, dispatching heartbeats and deltas to
-    /// the monitor as they stream in, until every node reports `Done`.
-    /// Silence on one node never parks the coordinator — each cycle ends
-    /// with a straggler sweep, and a node with no control traffic for the
-    /// whole io timeout (heartbeats reset the clock) fails the run.
-    ///
-    /// With recovery enabled, a confirmed loss (socket closed + process
-    /// reaped, observed exit, or silence past the kill-confirmation
-    /// budget) triggers [`ProcBackend::recover`] instead of failing,
-    /// while the loss budget lasts.
-    #[allow(clippy::too_many_lines)]
-    fn monitor_run(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        n_nodes: usize,
-        workload: &PhasedWorkload,
-        recovery: &mut Option<RecoveryState>,
-        recorder: Option<&Recorder>,
-    ) -> Result<(), WorkerFailure> {
-        let mut done = vec![false; n_nodes];
-        let mut last_activity = vec![Instant::now(); n_nodes];
-        while (0..n_nodes).any(|node| !done[node] && !pool.is_dead(node)) {
-            for node in 0..n_nodes {
-                if done[node] || pool.is_dead(node) {
-                    continue;
-                }
-                // Drain what this node has buffered, then move on.  Both
-                // bounds matter: a short poll slice so an idle peer never
-                // parks the loop for long, and a message cap so a chatty
-                // peer beating faster than the slice cannot capture it —
-                // either way every node is visited (and the straggler
-                // clock consulted) several times per heartbeat interval.
-                let mut lost: Option<String> = None;
-                let mut drained = 0;
-                while drained < 64 {
-                    match pool.poll_from_lossy(node, Duration::from_millis(5))? {
-                        Polled::Silence => break,
-                        Polled::Lost(detail) => {
-                            lost = Some(detail);
-                            break;
-                        }
-                        Polled::Message(message) => {
-                            drained += 1;
-                            last_activity[node] = Instant::now();
-                            match message {
-                                Message::Done { .. } => {
-                                    done[node] = true;
-                                    monitor.done(node);
-                                    break;
-                                }
-                                Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                                Message::TelemetryDelta { delta, .. } => {
-                                    monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                                }
-                                other => {
-                                    return Err(
-                                        pool.fail(Some(node), format!("expected done, got {}", other.name()))
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                if done[node] {
-                    continue;
-                }
-                let can_recover = recovery.as_ref().is_some_and(|s| s.down.len() < s.cfg.max_node_losses);
-                // Loss is confirmed three ways, cheapest signal first:
-                // the control socket closed under a read, the child
-                // process is observably gone, or the node stayed silent
-                // past the confirmation budget.
-                if lost.is_none() {
-                    if let Some(status) = pool.worker_exited(node) {
-                        lost = Some(format!("worker exited ({status}) while the coordinator awaited done"));
-                    }
-                }
-                if lost.is_none() {
-                    let budget = match recovery.as_ref() {
-                        Some(state) if can_recover => state.cfg.kill_confirmation.min(self.io_timeout),
-                        _ => self.io_timeout,
-                    };
-                    if last_activity[node].elapsed() >= budget {
-                        if can_recover {
-                            lost = Some(format!(
-                                "no control traffic for {budget:?} (the kill-confirmation budget)"
-                            ));
-                        } else {
-                            return Err(pool.fail(
-                                Some(node),
-                                "timed out waiting for done (no heartbeat within the io timeout)",
-                            ));
-                        }
-                    }
-                }
-                if let Some(detail) = lost {
-                    if !can_recover {
-                        return Err(pool.fail_cascade(node, detail));
-                    }
-                    let state = recovery.as_mut().expect("can_recover implies recovery state");
-                    self.recover(
-                        pool,
-                        monitor,
-                        state,
-                        workload,
-                        node,
-                        &detail,
-                        &mut done,
-                        &mut last_activity,
-                        recorder,
-                    )?;
-                }
-            }
-            let settled: Vec<bool> = (0..n_nodes).map(|n| done[n] || pool.is_dead(n)).collect();
-            monitor.check_stragglers(&settled);
-        }
-        Ok(())
-    }
-
-    /// One recovery episode: confirm the loss, quiesce the survivors at
-    /// their next iteration boundary, re-shard the dead node's tasks onto
-    /// them (only the affected shard moves), ship each survivor its
-    /// [`ReAssignment`], and resume.  The quiesce/ack/ready/resume
-    /// exchange is a barrier: no survivor computes while the routing
-    /// table is inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    fn recover(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        state: &mut RecoveryState,
-        workload: &PhasedWorkload,
-        dead: usize,
-        detail: &str,
-        done: &mut [bool],
-        last_activity: &mut [Instant],
-        recorder: Option<&Recorder>,
-    ) -> Result<(), WorkerFailure> {
-        let n_nodes = done.len();
-        let tasks_lost = state.node_of_task.iter().filter(|&&n| n == dead).count();
-        // Confirm first: reap (or kill) the child and drop its control
-        // connection, so nothing below can block on the dead node.
-        let (_status, _stderr_tail) = pool.confirm_loss(dead);
-        if let Some(recorder) = recorder {
-            recorder.record(EventKind::NodeLoss { node: dead as u32, tasks_lost });
-        }
-        let alive: Vec<usize> = (0..n_nodes).filter(|&n| !pool.is_dead(n)).collect();
-        if alive.is_empty() {
-            return Err(
-                pool.fail(Some(dead), format!("node lost with no survivors to re-shard onto ({detail})"))
-            );
-        }
-        state.round += 1;
-        let round = state.round;
-        pool.broadcast(&Message::Quiesce { round })?;
-        for &node in &alive {
-            self.await_recovery_frame(pool, monitor, node, "quiesce_ack", round, done)?;
-        }
-        // The same shard-migration step the simulator and the unit tests
-        // exercise: survivors keep their tasks, orphans follow their
-        // traffic partners under the capacity bound.
-        let m = workload.phases[0].graph.comm_matrix();
-        let plan = reshard_after_node_loss(&self.machine, &m, &state.node_of_task, dead, &state.down);
-        let n_tasks = state.node_of_task.len();
-        for &node in &alive {
-            let adopted: Vec<usize> =
-                plan.migrated_tasks.iter().copied().filter(|&t| plan.node_of_task[t] == node).collect();
-            let phases = workload
-                .phases
-                .iter()
-                .map(|phase| {
-                    let pm = phase.graph.comm_matrix();
-                    let mut reads = Vec::new();
-                    for src in 0..n_tasks {
-                        for &dst in &adopted {
-                            let bytes = pm.get(src, dst);
-                            if src != dst && bytes > 0.0 {
-                                reads.push(ReadEdge { reader: dst, src, bytes });
-                            }
-                        }
-                    }
-                    PhasePlan { iterations: phase.iterations, reads }
-                })
-                .collect();
-            let reassign =
-                ReAssignment { node, round, dead, node_of_task: plan.node_of_task.clone(), adopted, phases };
-            pool.send_to(node, &Message::ReAssignment { json: reassign.to_json().pretty() })?;
-        }
-        for &node in &alive {
-            self.await_recovery_frame(pool, monitor, node, "ready", round, done)?;
-        }
-        let migrated = plan.migrated_tasks.len();
-        state.node_of_task = plan.node_of_task;
-        state.down.push(dead);
-        monitor.node_losses += 1;
-        monitor.reshards += 1;
-        monitor.tasks_migrated += migrated as u64;
-        if let Some(recorder) = recorder {
-            recorder.record(EventKind::Recovery { node: dead as u32, tasks_migrated: migrated });
-        }
-        pool.broadcast(&Message::Resume { round })?;
-        // Survivors go back to work (possibly with adopted tasks), so
-        // their done flags and silence clocks restart.
-        for &node in &alive {
-            done[node] = false;
-            last_activity[node] = Instant::now();
-        }
-        Ok(())
-    }
-
-    /// Waits for one survivor's recovery frame (`quiesce_ack` or
-    /// `ready`), dispatching the streaming frames that keep arriving in
-    /// the meantime.  A `Done` here is the quiesce racing the worker's
-    /// natural finish — recorded, not an error (the worker still acks).
-    /// Any loss during recovery is fatal: the routing table is mid-flight
-    /// and a second re-shard on top of it has no consistent base.
-    fn await_recovery_frame(
-        &self,
-        pool: &mut WorkerPool,
-        monitor: &mut LiveMonitor<'_>,
-        node: usize,
-        expect: &'static str,
-        round: u32,
-        done: &mut [bool],
-    ) -> Result<(), WorkerFailure> {
-        let deadline = Instant::now() + self.io_timeout;
-        loop {
-            match pool.poll_from_lossy(node, Duration::from_millis(50))? {
-                Polled::Message(message) => match message {
-                    Message::QuiesceAck { round: acked, .. } if expect == "quiesce_ack" => {
-                        if acked != round {
-                            return Err(pool.fail(
-                                Some(node),
-                                format!("quiesce_ack for round {acked}, expected round {round}"),
-                            ));
-                        }
-                        return Ok(());
-                    }
-                    Message::Ready { .. } if expect == "ready" => return Ok(()),
-                    Message::Done { .. } => {
-                        done[node] = true;
-                        monitor.done(node);
-                    }
-                    Message::Heartbeat { seq, .. } => monitor.heartbeat(node, seq),
-                    Message::TelemetryDelta { delta, .. } => {
-                        monitor.delta(node, &delta).map_err(|e| pool.fail(Some(node), e))?;
-                    }
-                    other => {
-                        return Err(pool.fail(
-                            Some(node),
-                            format!("expected {expect} during recovery, got {}", other.name()),
-                        ));
-                    }
-                },
-                Polled::Silence => {
-                    if pool.worker_exited(node).is_some() || Instant::now() >= deadline {
-                        return Err(pool.fail_cascade(
-                            node,
-                            format!(
-                                "worker lost while the coordinator awaited {expect} (recovery round {round})"
-                            ),
-                        ));
-                    }
-                }
-                Polled::Lost(detail) => {
-                    return Err(
-                        pool.fail_cascade(node, format!("second node loss during recovery: {detail}"))
-                    );
-                }
-            }
-        }
     }
 
     /// Tree hops a byte pays on each fabric lane of this machine, probed
@@ -934,6 +631,236 @@ impl ProcBackend {
             }
         }
         (same_rack, cross_rack)
+    }
+}
+
+/// The coordinator's side of one run, fed by the pool's readiness loop:
+/// per-node silence clocks, the live monitor (live runs), the recovery
+/// state (recovery runs) and what the workers ship home.
+struct Run<'a> {
+    backend: &'a ProcBackend,
+    pool: WorkerPool,
+    workload: &'a PhasedWorkload,
+    recorder: Option<&'a Recorder>,
+    monitor: Option<LiveMonitor<'a>>,
+    recovery: Option<RecoveryState>,
+    last_activity: Vec<Instant>,
+    uploads: Vec<(u32, TelemetrySnapshot)>,
+    metrics: Vec<WorkerMetrics>,
+}
+
+impl Run<'_> {
+    /// Runs the readiness loop until every live node has reached
+    /// `target`, handing each frame, loss and expired deadline to its
+    /// handler.  The loop sleeps until the nearest deadline: a node's
+    /// silence budget (any frame restarts its clock) or, on live runs,
+    /// its straggler flag.
+    fn drive(&mut self, target: NodeState) -> Result<(), WorkerFailure> {
+        let now = Instant::now();
+        self.last_activity.iter_mut().for_each(|t| *t = now);
+        while let Some(deadline) = self.deadline(target) {
+            match self.pool.next_event(deadline)? {
+                Event::Frame(node, message) => {
+                    self.last_activity[node] = Instant::now();
+                    self.on_frame(node, message)?;
+                }
+                Event::Lost(node, detail) => self.on_loss(node, detail, target)?,
+                Event::Exited(_) => {}
+                Event::Timeout => self.on_silence(target)?,
+            }
+            let watched = self.watched();
+            if let Some(monitor) = self.monitor.as_mut() {
+                monitor.check_stragglers(&watched);
+            }
+        }
+        Ok(())
+    }
+
+    /// Nodes expected to heartbeat: those between `Start` and `Done`.
+    fn watched(&self) -> Vec<bool> {
+        (0..self.pool.n_nodes())
+            .map(|n| {
+                matches!(self.pool.state(n), NodeState::Ready | NodeState::Running | NodeState::Quiescing)
+            })
+            .collect()
+    }
+
+    /// The nearest deadline, or `None` once every live node is settled
+    /// and every frame read so far has been handled.
+    fn deadline(&self, target: NodeState) -> Option<Instant> {
+        let budget = self.silence_budget(target);
+        let Some(silence) = (0..self.pool.n_nodes())
+            .filter(|&n| !self.pool.settled(n, target))
+            .map(|n| self.last_activity[n] + budget)
+            .min()
+        else {
+            return self.pool.has_pending().then(Instant::now);
+        };
+        let flag = self.monitor.as_ref().and_then(|m| m.next_flag(&self.watched()));
+        Some(flag.map_or(silence, |flag| flag.min(silence)))
+    }
+
+    /// A loss is recovered only during the run span, while the loss
+    /// budget lasts.  A loss during recovery is fatal: the routing table
+    /// is mid-flight and a second re-shard on top of it has no
+    /// consistent base.
+    fn can_recover(&self, target: NodeState) -> bool {
+        target == NodeState::Done
+            && self.recovery.as_ref().is_some_and(|state| state.down.len() < state.cfg.max_node_losses)
+    }
+
+    /// Silence past the kill-confirmation budget counts as a loss only
+    /// where heartbeats stream, so a healthy node is never silent for long.
+    fn confirms_by_silence(&self, target: NodeState) -> bool {
+        self.monitor.is_some() && self.can_recover(target)
+    }
+
+    fn silence_budget(&self, target: NodeState) -> Duration {
+        let io_timeout = self.backend.io_timeout;
+        match &self.recovery {
+            Some(state) if self.confirms_by_silence(target) => state.cfg.kill_confirmation.min(io_timeout),
+            _ => io_timeout,
+        }
+    }
+
+    fn on_frame(&mut self, node: usize, message: Message) -> Result<(), WorkerFailure> {
+        match message {
+            Message::Heartbeat { seq, .. } => {
+                if let Some(monitor) = self.monitor.as_mut() {
+                    monitor.heartbeat(node, seq);
+                }
+            }
+            Message::TelemetryDelta { delta, .. } => {
+                if let Some(monitor) = self.monitor.as_mut() {
+                    monitor.delta(node, &delta).map_err(|e| self.pool.fail(Some(node), e))?;
+                }
+            }
+            Message::Done { .. } => {
+                if let Some(monitor) = self.monitor.as_mut() {
+                    monitor.done(node);
+                }
+            }
+            Message::QuiesceAck { round: acked, .. } => {
+                let round = self.recovery.as_ref().map_or(0, |state| state.round);
+                if acked != round {
+                    return Err(self
+                        .pool
+                        .fail(Some(node), format!("quiesce_ack for round {acked}, expected round {round}")));
+                }
+            }
+            Message::TelemetryUpload { node: from, snapshot } => match TelemetrySnapshot::decode(&snapshot) {
+                Ok(snap) => self.uploads.push((from, snap)),
+                Err(e) => return Err(self.pool.fail(Some(node), format!("bad telemetry snapshot: {e}"))),
+            },
+            Message::Metrics { json, .. } => {
+                let parsed = Json::parse(&json)
+                    .map_err(|e| format!("metrics document is not valid JSON: {e}"))
+                    .and_then(|doc| WorkerMetrics::from_json(&doc));
+                match parsed {
+                    Ok(m) => self.metrics.push(m),
+                    Err(e) => return Err(self.pool.fail(Some(node), format!("bad metrics report: {e}"))),
+                }
+            }
+            // `Ready` only moves the node's state, which the pool did.
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn on_loss(&mut self, node: usize, detail: String, target: NodeState) -> Result<(), WorkerFailure> {
+        if self.can_recover(target) {
+            return self.recover(node, &detail);
+        }
+        Err(self.pool.fail_cascade(node, detail))
+    }
+
+    /// A deadline passed: a straggler flag (handled after every event),
+    /// or a node silent for its whole budget.
+    fn on_silence(&mut self, target: NodeState) -> Result<(), WorkerFailure> {
+        let budget = self.silence_budget(target);
+        let silent = (0..self.pool.n_nodes())
+            .find(|&n| !self.pool.settled(n, target) && self.last_activity[n].elapsed() >= budget);
+        let Some(node) = silent else { return Ok(()) };
+        if self.confirms_by_silence(target) {
+            return self
+                .recover(node, &format!("no control traffic for {budget:?} (the kill-confirmation budget)"));
+        }
+        let state = self.pool.state(node);
+        Err(self
+            .pool
+            .fail(Some(node), format!("timed out after {budget:?} in state {state:?} awaiting {target:?}")))
+    }
+
+    /// One recovery episode: confirm the loss, quiesce the survivors at
+    /// their next iteration boundary, re-shard the dead node's tasks onto
+    /// them (only the affected shard moves), ship each survivor its
+    /// [`ReAssignment`], and resume.  The quiesce/ack/ready/resume
+    /// exchange is a barrier: no survivor computes while the routing
+    /// table is inconsistent.
+    fn recover(&mut self, dead: usize, detail: &str) -> Result<(), WorkerFailure> {
+        let state = self.recovery.as_mut().expect("a loss is recovered only with a recovery state");
+        let tasks_lost = state.node_of_task.iter().filter(|&&n| n == dead).count();
+        state.round += 1;
+        let round = state.round;
+        // Confirm first: reap (or kill) the child and drop its control
+        // connection, so nothing below can block on the dead node.
+        self.pool.confirm_loss(dead);
+        if let Some(recorder) = self.recorder {
+            recorder.record(EventKind::NodeLoss { node: dead as u32, tasks_lost });
+        }
+        let alive: Vec<usize> = (0..self.pool.n_nodes()).filter(|&n| !self.pool.is_dead(n)).collect();
+        if alive.is_empty() {
+            return Err(self
+                .pool
+                .fail(Some(dead), format!("node lost with no survivors to re-shard onto ({detail})")));
+        }
+        self.pool.broadcast(&Message::Quiesce { round })?;
+        for &node in &alive {
+            self.pool.set_state(node, NodeState::Quiescing);
+        }
+        self.drive(NodeState::Ready)?;
+        // The same shard-migration step the simulator and the unit tests
+        // exercise: survivors keep their tasks, orphans follow their
+        // traffic partners under the capacity bound.
+        let state = self.recovery.as_mut().expect("checked above");
+        let m = self.workload.phases[0].graph.comm_matrix();
+        let plan = reshard_after_node_loss(&self.backend.machine, &m, &state.node_of_task, dead, &state.down);
+        let n_tasks = state.node_of_task.len();
+        for &node in &alive {
+            let adopted: Vec<usize> =
+                plan.migrated_tasks.iter().copied().filter(|&t| plan.node_of_task[t] == node).collect();
+            let phases = self
+                .workload
+                .phases
+                .iter()
+                .map(|phase| {
+                    let pm = phase.graph.comm_matrix();
+                    let mut reads = Vec::new();
+                    for src in 0..n_tasks {
+                        for &dst in &adopted {
+                            let bytes = pm.get(src, dst);
+                            if src != dst && bytes > 0.0 {
+                                reads.push(ReadEdge { reader: dst, src, bytes });
+                            }
+                        }
+                    }
+                    PhasePlan { iterations: phase.iterations, reads }
+                })
+                .collect();
+            let reassign =
+                ReAssignment { node, round, dead, node_of_task: plan.node_of_task.clone(), adopted, phases };
+            self.pool.send_to(node, &Message::ReAssignment { json: reassign.to_json().pretty() })?;
+        }
+        self.drive(NodeState::Running)?;
+        let migrated = plan.migrated_tasks.len();
+        let state = self.recovery.as_mut().expect("checked above");
+        state.node_of_task = plan.node_of_task;
+        state.down.push(dead);
+        state.tasks_migrated += migrated as u64;
+        if let Some(recorder) = self.recorder {
+            recorder.record(EventKind::Recovery { node: dead as u32, tasks_migrated: migrated });
+        }
+        self.pool.broadcast(&Message::Resume { round })
     }
 }
 

@@ -96,11 +96,6 @@ impl FramedStream {
         }
     }
 
-    /// Connects to a Unix-domain listener at `path`.
-    pub fn connect(path: &std::path::Path) -> std::io::Result<Self> {
-        UnixStream::connect(path).map(FramedStream::new)
-    }
-
     /// Connects to a Unix-domain listener at `path`, retrying with
     /// jittered backoff until `budget` elapses.
     ///
@@ -135,6 +130,13 @@ impl FramedStream {
             let left = budget.saturating_sub(start.elapsed());
             std::thread::sleep(pause.min(left).max(Duration::from_millis(1)));
         }
+    }
+
+    /// The underlying socket, for readiness polling, cloning a read half
+    /// and shutting one down.
+    #[must_use]
+    pub fn socket(&self) -> &UnixStream {
+        &self.stream
     }
 
     /// Frames written so far.
@@ -176,9 +178,9 @@ impl FramedStream {
     /// until the kernel buffer drains — potentially forever.  Control
     /// frames (quiesce, re-assignment, shutdown) must instead fail
     /// within the io budget so the coordinator can blame the wedged
-    /// node.  Short write timeouts are retried until the deadline; a
-    /// partial frame past the deadline is a hard `TimedOut` (the stream
-    /// is unusable after that — framing is broken).
+    /// node.  Each write waits at most until the deadline; a partial
+    /// frame past the deadline is a hard `TimedOut` (the stream is
+    /// unusable after that — framing is broken).
     pub fn send_with_deadline(&mut self, message: &Message, deadline: Duration) -> std::io::Result<()> {
         let frame = message.encode();
         let start = Instant::now();
@@ -192,7 +194,7 @@ impl FramedStream {
                     format!("send of {} stalled at {written}/{} bytes", message.name(), frame.len()),
                 ));
             }
-            self.stream.set_write_timeout(Some(left.min(Duration::from_millis(100))))?;
+            self.stream.set_write_timeout(Some(left))?;
             match self.stream.write(&frame[written..]) {
                 Ok(0) => {
                     self.stream.set_write_timeout(None)?;
@@ -214,36 +216,20 @@ impl FramedStream {
     }
 
     /// Blocks until one whole message arrives, up to `deadline` from now.
-    ///
-    /// The wait is implemented with short socket read timeouts so a hung
-    /// peer can never park the caller forever; a `None` deadline still
-    /// polls but never gives up (the coordinator always passes `Some`).
-    pub fn recv(&mut self, deadline: Option<Duration>) -> Result<Message, RecvError> {
+    pub fn recv(&mut self, deadline: Duration) -> Result<Message, RecvError> {
         let start = Instant::now();
         loop {
-            if let Some(message) = self.reader.try_next().map_err(RecvError::Wire)? {
-                self.frames_received += 1;
+            if let Some(message) = self.try_next()? {
                 return Ok(message);
             }
-            // One socket wait never overshoots the caller's deadline by
-            // more than a millisecond, so short deadlines make `recv` a
-            // cheap poll — the live monitor and the worker's streaming
-            // thread both interleave on sub-100ms slices.
-            let mut tick = Duration::from_millis(100);
-            if let Some(limit) = deadline {
-                let elapsed = start.elapsed();
-                if elapsed >= limit {
-                    return Err(RecvError::Timeout);
-                }
-                tick = tick.min(limit - elapsed).max(Duration::from_millis(1));
+            let left = deadline.saturating_sub(start.elapsed());
+            if left.is_zero() {
+                return Err(RecvError::Timeout);
             }
-            self.stream.set_read_timeout(Some(tick)).map_err(RecvError::Io)?;
+            self.stream.set_read_timeout(Some(left)).map_err(RecvError::Io)?;
             match self.stream.read(&mut self.read_buf) {
                 Ok(0) => return Err(RecvError::Closed),
-                Ok(n) => {
-                    self.bytes_received += n as u64;
-                    self.reader.push(&self.read_buf[..n]);
-                }
+                Ok(n) => self.take_bytes(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RecvError::Io(e)),
@@ -251,20 +237,38 @@ impl FramedStream {
         }
     }
 
-    /// `recv` restricted to one expected kind; anything else — including a
-    /// peer-reported [`Message::Error`] — becomes a descriptive error
-    /// string for the caller's typed failure.
-    pub fn recv_expect(
-        &mut self,
-        expect: &'static str,
-        deadline: Option<Duration>,
-    ) -> Result<Message, String> {
-        match self.recv(deadline) {
-            Ok(message) if message.name() == expect => Ok(message),
-            Ok(Message::Error { message }) => Err(format!("peer reported: {message}")),
-            Ok(other) => Err(format!("expected {expect}, got {}", other.name())),
-            Err(e) => Err(format!("while waiting for {expect}: {e}")),
+    /// One `read` on a socket that `poll` reported ready, then every whole
+    /// message now buffered, in arrival order.  `Closed` once the peer
+    /// hung up and everything it sent has been returned.
+    pub fn recv_ready(&mut self) -> Result<Vec<Message>, RecvError> {
+        let closed = match self.stream.read(&mut self.read_buf) {
+            Ok(0) => true,
+            Ok(n) => {
+                self.take_bytes(n);
+                false
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => false,
+            Err(e) => return Err(RecvError::Io(e)),
+        };
+        let mut messages = Vec::new();
+        while let Some(message) = self.try_next()? {
+            messages.push(message);
         }
+        if closed && messages.is_empty() {
+            return Err(RecvError::Closed);
+        }
+        Ok(messages)
+    }
+
+    fn take_bytes(&mut self, n: usize) {
+        self.bytes_received += n as u64;
+        self.reader.push(&self.read_buf[..n]);
+    }
+
+    fn try_next(&mut self) -> Result<Option<Message>, RecvError> {
+        let message = self.reader.try_next().map_err(RecvError::Wire)?;
+        self.frames_received += u64::from(message.is_some());
+        Ok(message)
     }
 }
 
@@ -285,7 +289,7 @@ mod tests {
         let msg =
             Message::LockRequest { seq: 1, location: 9, access: crate::wire::WireAccess::Read, bytes: 4096 };
         a.send(&msg).unwrap();
-        let got = b.recv(Some(Duration::from_secs(5))).unwrap();
+        let got = b.recv(Duration::from_secs(5)).unwrap();
         assert_eq!(got, msg);
         assert_eq!(a.frames_sent(), 1);
         assert_eq!(b.frames_received(), 1);
@@ -301,7 +305,7 @@ mod tests {
             a.send(&msg).unwrap();
             (a, msg)
         });
-        let got = b.recv(Some(Duration::from_secs(10))).unwrap();
+        let got = b.recv(Duration::from_secs(10)).unwrap();
         let (_a, msg) = writer.join().unwrap();
         assert_eq!(got, msg);
     }
@@ -310,7 +314,7 @@ mod tests {
     fn recv_times_out_instead_of_hanging() {
         let (_a, mut b) = pair();
         let start = std::time::Instant::now();
-        match b.recv(Some(Duration::from_millis(150))) {
+        match b.recv(Duration::from_millis(150)) {
             Err(RecvError::Timeout) => {}
             other => panic!("expected timeout, got {other:?}"),
         }
@@ -321,7 +325,7 @@ mod tests {
     fn closed_peer_is_not_a_timeout() {
         let (a, mut b) = pair();
         drop(a);
-        match b.recv(Some(Duration::from_secs(5))) {
+        match b.recv(Duration::from_secs(5)) {
             Err(RecvError::Closed) => {}
             other => panic!("expected closed, got {other:?}"),
         }
@@ -394,20 +398,18 @@ mod tests {
         let (mut a, mut b) = pair();
         let msg = Message::QuiesceAck { node: 3, round: 1 };
         a.send_with_deadline(&msg, Duration::from_secs(5)).unwrap();
-        assert_eq!(b.recv(Some(Duration::from_secs(5))).unwrap(), msg);
+        assert_eq!(b.recv(Duration::from_secs(5)).unwrap(), msg);
         assert_eq!(a.frames_sent(), 1);
     }
 
     #[test]
-    fn recv_expect_names_the_mismatch() {
+    fn recv_ready_returns_every_buffered_frame_then_closed() {
         let (mut a, mut b) = pair();
         a.send(&Message::Start).unwrap();
-        let err = b.recv_expect("ready", Some(Duration::from_secs(5))).unwrap_err();
-        assert!(err.contains("expected ready"), "{err}");
-        assert!(err.contains("start"), "{err}");
-
-        a.send(&Message::Error { message: "boom".to_string() }).unwrap();
-        let err = b.recv_expect("ready", Some(Duration::from_secs(5))).unwrap_err();
-        assert!(err.contains("boom"), "{err}");
+        a.send(&Message::Shutdown).unwrap();
+        assert_eq!(b.recv_ready().unwrap(), vec![Message::Start, Message::Shutdown]);
+        assert_eq!(b.frames_received(), 2);
+        drop(a);
+        assert!(matches!(b.recv_ready(), Err(RecvError::Closed)));
     }
 }

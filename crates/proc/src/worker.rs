@@ -14,9 +14,16 @@
 //! `Shutdown` → drain and upload telemetry (observed runs) → report
 //! [`WorkerMetrics`] → exit.
 //!
+//! The control socket is held for the worker's whole life, and its
+//! hang-up is the coordinator's exit signal.  One reader thread owns its
+//! read half and forwards every frame to the main thread, which waits on
+//! that channel with a deadline; sends (from the main thread and the
+//! telemetry streamer) take the write half's mutex for one frame each.
+//!
 //! On recovery-enabled runs the execution span is a *loop of rounds*: a
-//! coordinator `Quiesce` (a peer died) interrupts the running round at
-//! the next iteration boundary, the worker acks, adopts whatever orphans
+//! coordinator `Quiesce` (a peer died), flipped into the interrupt by the
+//! control reader as it arrives, stops the running round at the next
+//! iteration boundary, the worker acks, adopts whatever orphans
 //! the [`ReAssignment`] routes here (fresh locations, zero progress —
 //! the dead node's state died with it), and `Resume` starts the next
 //! round on the remaining work.  Surviving tasks keep their iteration
@@ -51,9 +58,9 @@ use orwl_topo::binding::RecordingBinder;
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::{LevelSpec, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Events kept in an uploaded snapshot (newest win; the remainder joins
@@ -103,25 +110,22 @@ fn env_usize(key: &str) -> Result<usize, String> {
 fn worker_main() -> Result<(), String> {
     let node = env_usize(ENV_NODE)?;
     let coord = std::env::var(ENV_COORD).map_err(|_| format!("{ENV_COORD} is not set"))?;
-    // The control stream is shared between the main protocol thread and
-    // (on live runs) the telemetry streamer, so it lives behind a mutex
-    // from the start; every receive takes the lock in short slices so a
-    // blocked wait never starves the streamer's sends.  The connect
-    // retries under a bounded budget: the coordinator binds the
-    // rendezvous socket before spawning, but a loaded machine can still
-    // delay the listener's backlog.
-    let control = Arc::new(Mutex::new(
-        FramedStream::connect_retry(std::path::Path::new(&coord), Duration::from_secs(10))
-            .map_err(|e| format!("connecting to coordinator: {e}"))?,
-    ));
+    // The connect retries under a bounded budget: the coordinator binds
+    // the rendezvous socket before spawning, but a loaded machine can
+    // still delay the listener's backlog.
+    let stream = FramedStream::connect_retry(std::path::Path::new(&coord), Duration::from_secs(10))
+        .map_err(|e| format!("connecting to coordinator: {e}"))?;
+    let interrupt = Arc::new(Interrupt::default());
+    let control =
+        Control::open(stream, Arc::clone(&interrupt)).map_err(|e| format!("control socket: {e}"))?;
     // The two worker-side timestamps of the clock-offset handshake: the
     // coordinator stamps the matching receive/send instants into the
     // assignment's obs spec, and the midpoint of the two one-way legs
     // estimates this process's clock offset (see `orwl_obs::merge`).
     let hello_send_us = orwl_obs::process_clock_us();
-    send_ctl(&control, &Message::Hello { node: node as u32 }).map_err(|e| format!("sending hello: {e}"))?;
-    let Message::Assignment { json } = recv_ctl(&control, "assignment", Duration::from_secs(30))? else {
-        unreachable!("recv_ctl returns the expected kind");
+    control.send(&Message::Hello { node: node as u32 }).map_err(|e| format!("sending hello: {e}"))?;
+    let Message::Assignment { json } = control.recv(&["assignment"], Duration::from_secs(30))? else {
+        unreachable!("Control::recv returns an expected kind");
     };
     let assign_recv_us = orwl_obs::process_clock_us();
     let doc = Json::parse(&json).map_err(|e| format!("assignment is not valid JSON: {e}"))?;
@@ -129,61 +133,81 @@ fn worker_main() -> Result<(), String> {
     if assignment.node != node {
         return Err(format!("assignment for node {} delivered to node {node}", assignment.node));
     }
-    match run_worker(&control, &assignment, hello_send_us, assign_recv_us) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = send_ctl(&control, &Message::Error { message: e.clone() });
-            Err(e)
-        }
+    let outcome = run_worker(&control, &interrupt, &assignment, hello_send_us, assign_recv_us);
+    if let Err(e) = &outcome {
+        let _ = control.send(&Message::Error { message: e.clone() });
     }
+    control.close();
+    outcome
 }
 
-/// Sends one control message under the shared-stream lock.
-fn send_ctl(control: &Arc<Mutex<FramedStream>>, message: &Message) -> Result<(), String> {
-    control
-        .lock()
-        .map_err(|_| "control stream poisoned".to_string())?
-        .send(message)
-        .map_err(|e| e.to_string())
+/// The worker's end of the control connection, held for the worker's
+/// whole life: the coordinator takes its hang-up as the exit signal.  One
+/// reader thread owns the read half; it flips the [`Interrupt`] on
+/// `Quiesce`, so a round parks even when no task touches the dead peer,
+/// and forwards every frame to the main thread's inbox.  Sends hold the
+/// write-half mutex for one frame, so the telemetry streamer and the main
+/// thread interleave whole frames.
+struct Control {
+    writer: Arc<Mutex<FramedStream>>,
+    inbox: mpsc::Receiver<Result<Message, String>>,
+    reader: std::thread::JoinHandle<()>,
 }
 
-/// `recv_expect` against the shared control stream, holding the lock only
-/// in 50 ms slices so the streamer thread can interleave its sends while
-/// the main thread waits out a long protocol step.
-fn recv_ctl(
-    control: &Arc<Mutex<FramedStream>>,
-    expect: &'static str,
-    deadline: Duration,
-) -> Result<Message, String> {
-    recv_ctl_any(control, &[expect], deadline)
-}
+impl Control {
+    fn open(stream: FramedStream, interrupt: Arc<Interrupt>) -> std::io::Result<Control> {
+        let mut read_half = FramedStream::new(stream.socket().try_clone()?);
+        let (frames, inbox) = mpsc::channel();
+        let reader = std::thread::spawn(move || loop {
+            // The coordinator is silent for whole rounds: wait as long as
+            // the OS allows; `close` ends the wait by shutting the half down.
+            let frame = match read_half.recv(Duration::MAX) {
+                Ok(message) => {
+                    if matches!(message, Message::Quiesce { .. }) {
+                        interrupt.interrupt();
+                    }
+                    Ok(message)
+                }
+                Err(e) => Err(e.to_string()),
+            };
+            let last = frame.is_err();
+            if frames.send(frame).is_err() || last {
+                return;
+            }
+        });
+        Ok(Control { writer: Arc::new(Mutex::new(stream)), inbox, reader })
+    }
 
-/// [`recv_ctl`] accepting any of several kinds — the post-`Done` wait can
-/// legitimately see either `Shutdown` (run over) or `Quiesce` (a peer
-/// died and this worker is being pulled into a recovery round).
-fn recv_ctl_any(
-    control: &Arc<Mutex<FramedStream>>,
-    expect: &[&'static str],
-    deadline: Duration,
-) -> Result<Message, String> {
-    let start = Instant::now();
-    loop {
-        let outcome = control
+    fn send(&self, message: &Message) -> Result<(), String> {
+        self.writer
             .lock()
             .map_err(|_| "control stream poisoned".to_string())?
-            .recv(Some(Duration::from_millis(50)));
-        match outcome {
-            Ok(message) if expect.contains(&message.name()) => return Ok(message),
-            Ok(Message::Error { message }) => return Err(format!("peer reported: {message}")),
-            Ok(other) => {
-                return Err(format!("expected {}, got {}", expect.join(" or "), other.name()));
+            .send(message)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Waits up to `deadline` for the next control frame, which must be
+    /// one of the `expect`ed kinds.
+    fn recv(&self, expect: &[&'static str], deadline: Duration) -> Result<Message, String> {
+        let wanted = expect.join(" or ");
+        match self.inbox.recv_timeout(deadline) {
+            Ok(Ok(message)) if expect.contains(&message.name()) => Ok(message),
+            Ok(Ok(Message::Error { message })) => Err(format!("peer reported: {message}")),
+            Ok(Ok(other)) => Err(format!("expected {wanted}, got {}", other.name())),
+            Ok(Err(e)) => Err(format!("while waiting for {wanted}: {e}")),
+            Err(mpsc::RecvTimeoutError::Timeout) => Err(format!("while waiting for {wanted}: timed out")),
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                Err(format!("while waiting for {wanted}: the control reader stopped"))
             }
-            Err(RecvError::Timeout) => {
-                if start.elapsed() >= deadline {
-                    return Err(format!("while waiting for {}: timed out", expect.join(" or ")));
-                }
-            }
-            Err(e) => return Err(format!("while waiting for {}: {e}", expect.join(" or "))),
+        }
+    }
+
+    /// Shuts the read half down, which wakes the reader, and joins it.
+    /// The write half stays open until the worker exits.
+    fn close(self) {
+        let shut = self.writer.lock().is_ok_and(|w| w.socket().shutdown(std::net::Shutdown::Read).is_ok());
+        if shut {
+            let _ = self.reader.join();
         }
     }
 }
@@ -307,7 +331,7 @@ impl PeerGateway {
             .send(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want })
             .map_err(|e| format!("lock request to peer {owner}: {e}"))?;
         let requested = Instant::now();
-        let granted = match stream.recv(Some(self.io_timeout)) {
+        let granted = match stream.recv(self.io_timeout) {
             Ok(Message::LockGrant { seq: s, location: l, data }) if s == seq && l == location => data,
             Ok(Message::Error { message }) => return Err(format!("peer {owner}: {message}")),
             Ok(other) => {
@@ -361,7 +385,7 @@ fn serve_connection(
     io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     loop {
-        match stream.recv(Some(Duration::from_millis(200))) {
+        match stream.recv(Duration::from_millis(200)) {
             Ok(Message::LockRequest { seq, location, access, bytes }) => {
                 // Clone the Arc out and release the map guard before any
                 // FIFO work: a blocked acquire must not hold the map
@@ -402,7 +426,7 @@ fn serve_connection(
                 if stream.send(&Message::LockGrant { seq, location, data }).is_err() {
                     break;
                 }
-                match stream.recv(Some(io_timeout)) {
+                match stream.recv(io_timeout) {
                     Ok(Message::Release { seq: s, location: l }) if s == seq && l == location => {
                         drop(guard);
                     }
@@ -422,7 +446,8 @@ fn serve_connection(
 }
 
 /// The accept loop: hands every inbound connection to its own serving
-/// thread and, once shut down, joins them and returns the summed socket
+/// thread and, once shut down (the flag is set, then one connection
+/// wakes the blocked `accept`), joins them and returns the summed socket
 /// counters as `(frames_sent, frames_received, bytes_sent, bytes_received)`.
 fn accept_loop(
     listener: UnixListener,
@@ -431,20 +456,16 @@ fn accept_loop(
     io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     let mut handlers = Vec::new();
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let locations = Arc::clone(&locations);
-                let shutdown = Arc::clone(&shutdown);
-                handlers.push(std::thread::spawn(move || {
-                    serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
-                }));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+    for stream in listener.incoming() {
+        if shutdown.load(Ordering::Relaxed) {
+            break;
         }
+        let Ok(stream) = stream else { break };
+        let locations = Arc::clone(&locations);
+        let shutdown = Arc::clone(&shutdown);
+        handlers.push(std::thread::spawn(move || {
+            serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
+        }));
     }
     let mut totals = (0, 0, 0, 0);
     for handler in handlers {
@@ -464,25 +485,17 @@ enum IterError {
 
 /// The park-on-peer-failure switch shared by every task body of a round.
 /// On recovery-enabled runs a remote failure (or a coordinator `Quiesce`
-/// relayed by the watcher) flips it, and every task breaks out at its
+/// seen by the control reader) flips it, and every task breaks out at its
 /// next iteration boundary instead of failing the worker.
+#[derive(Default)]
 struct Interrupt {
-    enabled: bool,
     quiesce: AtomicBool,
     reason: Mutex<Option<String>>,
 }
 
 impl Interrupt {
-    fn new(enabled: bool) -> Interrupt {
-        Interrupt { enabled, quiesce: AtomicBool::new(false), reason: Mutex::new(None) }
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn parked(&self) -> bool {
-        self.enabled && self.quiesce.load(Ordering::Relaxed)
+        self.quiesce.load(Ordering::Relaxed)
     }
 
     /// A task hit a broken peer: remember the first cause and park.
@@ -507,53 +520,6 @@ impl Interrupt {
 
     fn parked_reason(&self) -> Option<String> {
         self.reason.lock().ok().and_then(|slot| slot.clone())
-    }
-}
-
-/// Listens for the coordinator's `Quiesce` while a round runs, so a
-/// worker whose own tasks never touch the dead node still parks promptly.
-/// The main thread joins the watcher *before* its next control receive,
-/// so the two never contend for a frame.
-struct QuiesceWatcher {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<Option<u32>>,
-}
-
-impl QuiesceWatcher {
-    fn spawn(control: Arc<Mutex<FramedStream>>, interrupt: Arc<Interrupt>) -> QuiesceWatcher {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || loop {
-            if stop_flag.load(Ordering::Relaxed) {
-                return None;
-            }
-            // Short lock slices with an unlocked sleep between them: the
-            // telemetry streamer shares this stream and must get the lock
-            // once per interval.
-            let outcome = {
-                let Ok(mut stream) = control.lock() else { return None };
-                stream.recv(Some(Duration::from_millis(10)))
-            };
-            match outcome {
-                Ok(Message::Quiesce { round }) => {
-                    interrupt.interrupt();
-                    return Some(round);
-                }
-                // Mid-round the coordinator sends nothing else; an
-                // unexpected frame is left to the main thread's own
-                // post-round receive to diagnose.
-                Ok(_) => {}
-                Err(RecvError::Timeout) => std::thread::sleep(Duration::from_millis(5)),
-                Err(_) => return None,
-            }
-        });
-        QuiesceWatcher { stop, handle }
-    }
-
-    /// Joins the watcher; `Some(round)` if it consumed a `Quiesce`.
-    fn stop(self) -> Option<u32> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle.join().unwrap_or(None)
     }
 }
 
@@ -641,7 +607,8 @@ impl WorkState {
 
 #[allow(clippy::too_many_lines)]
 fn run_worker(
-    control: &Arc<Mutex<FramedStream>>,
+    control: &Control,
+    interrupt: &Arc<Interrupt>,
     assignment: &Assignment,
     hello_send_us: u64,
     assign_recv_us: u64,
@@ -678,7 +645,6 @@ fn run_worker(
 
     let listener = UnixListener::bind(&assignment.listen)
         .map_err(|e| format!("binding peer listener at {}: {e}", assignment.listen))?;
-    listener.set_nonblocking(true).map_err(|e| format!("peer listener: {e}"))?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let server = {
         let locations = Arc::clone(&locations);
@@ -686,11 +652,14 @@ fn run_worker(
         std::thread::spawn(move || accept_loop(listener, locations, shutdown, io_timeout))
     };
 
-    send_ctl(control, &Message::Ready { node: assignment.node as u32 })?;
-    recv_ctl(control, "start", io_timeout)?;
+    control.send(&Message::Ready { node: assignment.node as u32 })?;
+    control.recv(&["start"], io_timeout)?;
 
     if faults.panics_after_start(assignment.node) {
         panic!("injected failure on node {} (for robustness tests)", assignment.node);
+    }
+    if faults.errors_after_start(assignment.node) {
+        return Err(format!("injected error on node {} (for robustness tests)", assignment.node));
     }
     if let Some(after_ms) = faults.sigkill_after_ms(assignment.node) {
         // The hard-crash fault: this process disappears mid-run with no
@@ -728,7 +697,7 @@ fn run_worker(
         let drop_first = faults.drop_heartbeats(assignment.node);
         (interval_ms > 0).then(|| {
             Streamer::spawn(
-                Arc::clone(control),
+                Arc::clone(&control.writer),
                 Arc::clone(recorder),
                 Arc::clone(&global_of),
                 assignment.node as u32,
@@ -741,7 +710,6 @@ fn run_worker(
     });
 
     let mut work = WorkState::new(assignment);
-    let interrupt = Arc::new(Interrupt::new(assignment.recovery));
     let mut wall_seconds = 0.0;
 
     // The execution span: one round on a fault-free run; on recovery
@@ -749,66 +717,35 @@ fn run_worker(
     // coordinator is satisfied and sends Shutdown.
     let run_outcome = (|| -> Result<(), String> {
         loop {
-            let watcher = assignment
-                .recovery
-                .then(|| QuiesceWatcher::spawn(Arc::clone(control), Arc::clone(&interrupt)));
             let started = Instant::now();
-            let round_outcome = run_round(assignment, &work, &locations, &gateway, &interrupt);
+            run_round(assignment, &work, &locations, &gateway, interrupt)?;
             wall_seconds += started.elapsed().as_secs_f64();
-            // Join before any receive: the watcher and the main thread
-            // must never race for a control frame.
-            let quiesce_round = watcher.and_then(QuiesceWatcher::stop);
-            round_outcome?;
-            if interrupt.parked() {
-                // Parked on a peer failure (or the watcher's quiesce).
-                // The coordinator's Quiesce is either already consumed by
-                // the watcher or still in flight.
-                let round = match quiesce_round {
-                    Some(round) => round,
-                    None => {
-                        let message =
-                            recv_ctl(control, "quiesce", io_timeout).map_err(|e| {
-                                match interrupt.parked_reason() {
-                                    Some(cause) => {
-                                        format!(
-                                        "parked on a peer failure ({cause}) but recovery never arrived: {e}"
-                                    )
-                                    }
-                                    None => e,
-                                }
-                            })?;
-                        let Message::Quiesce { round } = message else {
-                            unreachable!("recv_ctl returns the expected kind");
-                        };
-                        round
+            let quiesce = if interrupt.parked() {
+                // Parked on a peer failure or on the coordinator's
+                // quiesce, which is in the inbox or still in flight.
+                control.recv(&["quiesce"], io_timeout).map_err(|e| match interrupt.parked_reason() {
+                    Some(cause) => {
+                        format!("parked on a peer failure ({cause}) but recovery never arrived: {e}")
                     }
-                };
-                apply_recovery(
-                    control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                )?;
-                interrupt.clear();
-                continue;
-            }
-            send_ctl(control, &Message::Done { node: assignment.node as u32 })?;
-            if let Some(round) = quiesce_round {
-                // The quiesce raced our natural finish: the Done above is
-                // tolerated by the coordinator, and we still join the
-                // recovery round (we may adopt orphans).
-                apply_recovery(
-                    control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                )?;
-                interrupt.clear();
-                continue;
-            }
-            match recv_ctl_any(control, &["shutdown", "quiesce"], io_timeout)? {
-                Message::Quiesce { round } => {
-                    apply_recovery(
-                        control, assignment, round, io_timeout, &mut work, &locations, &global_of, &gateway,
-                    )?;
-                    interrupt.clear();
+                    None => e,
+                })?
+            } else {
+                control.send(&Message::Done { node: assignment.node as u32 })?;
+                // A quiesce here raced our natural finish: the coordinator
+                // tolerates the Done, and we still join the recovery round
+                // (we may adopt orphans).
+                match control.recv(&["shutdown", "quiesce"], io_timeout)? {
+                    Message::Shutdown => break,
+                    message => message,
                 }
-                _ => break, // shutdown
-            }
+            };
+            let Message::Quiesce { round } = quiesce else {
+                unreachable!("Control::recv returns an expected kind");
+            };
+            apply_recovery(
+                control, interrupt, assignment, round, io_timeout, &mut work, &locations, &global_of,
+                &gateway,
+            )?;
         }
         Ok(())
     })();
@@ -838,7 +775,8 @@ fn run_worker(
         }
         cap_events(&mut telemetry, MAX_UPLOAD_EVENTS);
         let snapshot = TelemetrySnapshot::from_telemetry(telemetry, origin_us, offset_us).encode();
-        send_ctl(control, &Message::TelemetryUpload { node: assignment.node as u32, snapshot })
+        control
+            .send(&Message::TelemetryUpload { node: assignment.node as u32, snapshot })
             .map_err(|e| format!("uploading telemetry: {e}"))?;
     }
 
@@ -860,21 +798,24 @@ fn run_worker(
     }
     drop(conns); // hang up on every owner peer
     shutdown.store(true, Ordering::Relaxed);
+    // Wake the blocked accept so the loop sees the flag.
+    UnixStream::connect(&assignment.listen).map_err(|e| format!("waking the peer listener: {e}"))?;
     let server_counters = server.join().unwrap_or_default();
 
     let metrics = compose_metrics(assignment, wall_seconds, &tallies, gateway_counters, server_counters);
-    send_ctl(control, &Message::Metrics { node: assignment.node as u32, json: metrics.to_json().pretty() })?;
+    control.send(&Message::Metrics { node: assignment.node as u32, json: metrics.to_json().pretty() })?;
     Ok(())
 }
 
 /// One recovery exchange, entered after the round stopped (parked or
 /// finished): ack the quiesce, receive and validate this node's
 /// [`ReAssignment`], adopt the orphans routed here (fresh locations at
-/// zero progress), swap the gateway's routing table, signal `Ready` and
-/// wait out the `Resume` barrier.
+/// zero progress), swap the gateway's routing table, re-arm the
+/// interrupt, signal `Ready` and wait out the `Resume` barrier.
 #[allow(clippy::too_many_arguments)]
 fn apply_recovery(
-    control: &Arc<Mutex<FramedStream>>,
+    control: &Control,
+    interrupt: &Interrupt,
     assignment: &Assignment,
     round: u32,
     io_timeout: Duration,
@@ -884,9 +825,9 @@ fn apply_recovery(
     gateway: &PeerGateway,
 ) -> Result<(), String> {
     let node = assignment.node as u32;
-    send_ctl(control, &Message::QuiesceAck { node, round })?;
-    let Message::ReAssignment { json } = recv_ctl(control, "reassignment", io_timeout)? else {
-        unreachable!("recv_ctl returns the expected kind");
+    control.send(&Message::QuiesceAck { node, round })?;
+    let Message::ReAssignment { json } = control.recv(&["reassignment"], io_timeout)? else {
+        unreachable!("Control::recv returns an expected kind");
     };
     let doc = Json::parse(&json).map_err(|e| format!("re-assignment is not valid JSON: {e}"))?;
     let reassign = ReAssignment::from_json(&doc).map_err(|e| format!("bad re-assignment: {e}"))?;
@@ -912,9 +853,12 @@ fn apply_recovery(
     }
     work.adopt(&reassign);
     gateway.apply_reassignment(&reassign.node_of_task, reassign.dead);
-    send_ctl(control, &Message::Ready { node })?;
-    let Message::Resume { round: resumed } = recv_ctl(control, "resume", io_timeout)? else {
-        unreachable!("recv_ctl returns the expected kind");
+    // Re-armed before `Ready`: the next round's quiesce cannot be sent
+    // until the coordinator has every `Ready`, so none is lost here.
+    interrupt.clear();
+    control.send(&Message::Ready { node })?;
+    let Message::Resume { round: resumed } = control.recv(&["resume"], io_timeout)? else {
+        unreachable!("Control::recv returns an expected kind");
     };
     if resumed != round {
         return Err(format!("resume for round {resumed}, expected round {round}"));
@@ -925,9 +869,10 @@ fn apply_recovery(
 /// The worker's live-telemetry streamer: one background thread sampling
 /// the recorder into interval deltas and interleaving `Heartbeat` /
 /// `TelemetryDelta` frames on the shared control stream, from `Start`
-/// until [`Streamer::stop`].
+/// until [`Streamer::stop`].  Every wait is on the stop channel, so a
+/// stop never waits out an interval or a stall.
 struct Streamer {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: std::thread::JoinHandle<()>,
 }
 
@@ -943,33 +888,16 @@ impl Streamer {
         stall: Duration,
         drop_first: u64,
     ) -> Streamer {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
             let mut sampler = DeltaSampler::new(recorder, offset_us);
             let mut seq = 0u64;
             // Injected initial silence (straggler tests only; zero in
-            // production runs), waited out in stop-aware ticks.
-            let stalled = Instant::now();
-            while stalled.elapsed() < stall {
-                if stop_flag.load(Ordering::Relaxed) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
+            // production runs).
+            if !stall.is_zero() && stopped.recv_timeout(stall) != Err(mpsc::RecvTimeoutError::Timeout) {
+                return;
             }
-            'beats: loop {
-                // Sleep out the interval in short ticks so a stop request
-                // never waits out a long interval.
-                let tick_started = Instant::now();
-                while tick_started.elapsed() < interval {
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break 'beats;
-                    }
-                    std::thread::sleep(Duration::from_millis(5).min(interval));
-                }
-                if stop_flag.load(Ordering::Relaxed) {
-                    break;
-                }
+            while stopped.recv_timeout(interval) == Err(mpsc::RecvTimeoutError::Timeout) {
                 let mut delta = sampler.sample();
                 if let Ok(globals) = global_of.read() {
                     remap_lock_wait_locations(&mut delta.events, &globals);
@@ -979,19 +907,17 @@ impl Streamer {
                     delta.events.drain(..excess);
                     delta.dropped += excess as u64;
                 }
-                let Ok(mut stream) = control.lock() else { break };
                 // The heartbeat-drop fault swallows the first `drop_first`
                 // beats (the seq keeps counting, deltas keep flowing) —
                 // the minimal signal loss that trips straggler detection.
-                if seq >= drop_first && stream.send(&Message::Heartbeat { node, seq }).is_err() {
-                    break; // coordinator gone: the main thread will fail too
+                let beat = (seq >= drop_first).then_some(Message::Heartbeat { node, seq });
+                let delta =
+                    (!delta.is_empty()).then(|| Message::TelemetryDelta { node, delta: delta.encode() });
+                for frame in beat.iter().chain(&delta) {
+                    if !control.lock().is_ok_and(|mut stream| stream.send(frame).is_ok()) {
+                        return; // coordinator gone: the main thread will fail too
+                    }
                 }
-                if !delta.is_empty()
-                    && stream.send(&Message::TelemetryDelta { node, delta: delta.encode() }).is_err()
-                {
-                    break;
-                }
-                drop(stream);
                 seq += 1;
             }
         });
@@ -1001,7 +927,7 @@ impl Streamer {
     /// Signals the streaming thread and joins it, releasing its recorder
     /// Arc so the caller can drain.
     fn stop(self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         let _ = self.handle.join();
     }
 }
@@ -1119,6 +1045,7 @@ fn run_round(
         let gateway = Arc::clone(gateway);
         let failure = Arc::clone(&failure);
         let interrupt = Arc::clone(interrupt);
+        let recovery = assignment.recovery;
         program.add_task(TaskSpec::new(format!("task-{t}"), links), move |ctx| {
             let mut acquisitions = 0u64;
             'phases: for (k, (iterations, reads)) in schedule.iter().enumerate() {
@@ -1154,7 +1081,7 @@ fn run_round(
                         Ok(()) => {
                             progress[k].fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(IterError::Remote(e)) if interrupt.enabled() => {
+                        Err(IterError::Remote(e)) if recovery => {
                             // A broken peer exchange is the worker-side
                             // symptom of a node loss: park and wait for
                             // the coordinator's quiesce instead of

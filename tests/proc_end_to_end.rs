@@ -144,6 +144,34 @@ fn a_crashing_worker_is_a_typed_error_not_a_hang() {
 }
 
 #[test]
+fn a_worker_reported_error_is_blamed_on_its_reporter_not_on_the_peers_it_broke() {
+    // Node 1 reports its own error and exits non-zero; node 0 then fails
+    // on the broken peer connection, reports that too and exits non-zero.
+    let machine = ClusterMachine::paper(2);
+    let session = Session::builder()
+        .topology(machine.topology().clone())
+        .policy(Policy::Hierarchical)
+        .control_threads(0)
+        .backend(
+            backend(2)
+                .with_io_timeout(Duration::from_secs(20))
+                .with_faults(FaultPlan::new().with(Fault::ErrorAfterStart { node: 1 })),
+        )
+        .build()
+        .unwrap();
+    match session.run(scenario().workload()).unwrap_err() {
+        OrwlError::WorkerFailed { node, detail } => {
+            assert_eq!(node, 1, "the failure must be attributed to the reporting node: {detail}");
+            assert!(
+                detail.contains("worker reported: injected error on node 1"),
+                "the report must be the culprit's own error: {detail}"
+            );
+        }
+        other => panic!("expected WorkerFailed, got {other:?}"),
+    }
+}
+
+#[test]
 fn observed_runs_attach_wall_clock_fabric_telemetry() {
     let machine = ClusterMachine::paper(2);
     let session = Session::builder()

@@ -2,7 +2,8 @@
 //! backend: a worker SIGKILLed mid-run (via the typed fault plan) must
 //! not take the run down — the coordinator confirms the loss, re-shards
 //! the dead node's tasks onto the survivors, and the run completes
-//! degraded with the loss and the recovery on the telemetry record.
+//! degraded with the loss and the recovery on the telemetry record —
+//! and, without any telemetry, still completes degraded.
 //! Without recovery enabled the same fault must stay a *typed* failure
 //! surfaced within the protocol deadlines, and the worker pool's
 //! teardown must reap even a worker frozen under `SIGSTOP`.
@@ -117,6 +118,30 @@ fn a_killed_worker_is_survived_by_resharding_onto_the_rest() {
     let fabric = report.fabric.expect("proc reports carry the traffic split");
     assert!(fabric.inter_node_bytes > 0.0, "survivors exchanged no bytes: {fabric:?}");
     assert!(report.hop_bytes > 0.0);
+}
+
+#[test]
+fn a_killed_worker_is_survived_without_any_telemetry() {
+    // Recovery needs neither observation nor the live stream: the killed
+    // node's control socket hangs up, which confirms the loss by itself.
+    let machine = ClusterMachine::paper(4);
+    let session = Session::builder()
+        .topology(machine.topology().clone())
+        .policy(Policy::Hierarchical)
+        .control_threads(0)
+        .backend(
+            backend(4)
+                .with_faults(FaultPlan::new().with(Fault::Sigkill { node: 2, after_ms: 200 }))
+                .with_recovery(RecoveryConfig::default()),
+        )
+        .build()
+        .unwrap();
+    let report = session.run(chaos_scenario().workload()).expect("the survivors must finish the run");
+    let adapt = report.adapt.expect("a recovered run carries an adapt report");
+    assert!(adapt.node_reshards >= 1, "node_reshards = {}", adapt.node_reshards);
+    let fabric = report.fabric.expect("proc reports carry the traffic split");
+    assert!(fabric.inter_node_bytes > 0.0, "survivors exchanged no bytes: {fabric:?}");
+    assert!(report.obs.is_none(), "an unobserved run carries no telemetry");
 }
 
 #[test]
