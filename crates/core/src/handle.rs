@@ -89,6 +89,13 @@ impl<T> Handle<T> {
     /// not called first (one-shot handles) and the handle is not iterative.
     /// Iterative handles post their first request lazily on first acquire.
     pub fn acquire(&mut self) -> Result<OrwlGuard<'_, T>, OrwlError> {
+        let data = self.wait_for_grant()?;
+        Ok(OrwlGuard { handle: self, data: Some(data) })
+    }
+
+    /// The blocking grant behind [`Handle::acquire`] and
+    /// [`Handle::acquire_owned`].
+    fn wait_for_grant(&mut self) -> Result<GuardData<T>, OrwlError> {
         if self.pending.is_none() {
             if self.iterative {
                 self.request()?;
@@ -99,18 +106,47 @@ impl<T> Handle<T> {
         let token = self.pending.expect("request posted above");
         let start = Instant::now();
         self.location.fifo().acquire(&token);
-        let waited = start.elapsed();
+        Ok(self.granted(start.elapsed()))
+    }
+
+    /// The bookkeeping of every counted grant: statistics, the
+    /// `LockWait` telemetry event, the monitor hook, and the data lock.
+    fn granted(&mut self, waited: Duration) -> GuardData<T> {
         self.wait_time += waited;
         self.acquisitions += 1;
         if orwl_obs::enabled() {
             orwl_obs::lock_wait(self.location.id().0, waited.as_nanos() as u64);
         }
         crate::monitor::on_lock_granted(self.location.id(), self.mode);
-        let data = match self.mode {
+        match self.mode {
             AccessMode::Read => GuardData::Read(self.location.data().read_arc()),
             AccessMode::Write => GuardData::Write(self.location.data().write_arc()),
-        };
-        Ok(OrwlGuard { handle: self, data: Some(data) })
+        }
+    }
+
+    /// [`Handle::acquire`] that consumes the handle: the returned
+    /// [`OwnedGuard`] borrows nothing, so a caller can hold many sections
+    /// at once (keyed however it likes) and release each by dropping it.
+    /// The grant takes the same path as [`Handle::acquire`]: the same
+    /// `LockWait` event and the same monitor hook.
+    pub fn acquire_owned(mut self) -> Result<OwnedGuard<T>, OrwlError> {
+        let data = self.wait_for_grant()?;
+        Ok(OwnedGuard { data: Some(data), handle: self })
+    }
+
+    /// Non-blocking [`Handle::acquire_owned`]: hands the handle back when
+    /// its request is not posted or not grantable yet
+    /// ([`Handle::acquire_owned`] then posts or reports it).  A grant
+    /// here emits the same `LockWait` event as a blocking one, with the
+    /// (near-zero) time the attempt took.
+    pub fn try_acquire_owned(mut self) -> Result<OwnedGuard<T>, Handle<T>> {
+        let Some(token) = self.pending else { return Err(self) };
+        let start = Instant::now();
+        if !self.location.fifo().try_acquire(&token) {
+            return Err(self);
+        }
+        let data = self.granted(start.elapsed());
+        Ok(OwnedGuard { data: Some(data), handle: self })
     }
 
     /// Non-blocking variant of [`Handle::acquire`]: returns `Ok(None)` when
@@ -226,6 +262,33 @@ impl<T> Drop for OrwlGuard<'_, T> {
     }
 }
 
+/// A guard that owns its handle: see [`Handle::acquire_owned`].
+///
+/// Dereference it to read; dropping it releases the lock exactly as
+/// dropping an [`OrwlGuard`] does.
+pub struct OwnedGuard<T> {
+    data: Option<GuardData<T>>,
+    handle: Handle<T>,
+}
+
+impl<T> std::ops::Deref for OwnedGuard<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self.data.as_ref().expect("guard data present until drop") {
+            GuardData::Read(g) => g,
+            GuardData::Write(g) => g,
+        }
+    }
+}
+
+impl<T> Drop for OwnedGuard<T> {
+    fn drop(&mut self) {
+        self.data = None;
+        self.handle.finish_release();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,6 +360,44 @@ mod tests {
         assert!(second.try_acquire().unwrap().is_none());
         drop(g);
         assert!(second.try_acquire().unwrap().is_some());
+    }
+
+    #[test]
+    fn owned_guards_hold_several_sections_and_release_on_drop() {
+        let a = Location::new("a", 1u8);
+        let b = Location::new("b", 2u8);
+        let mut ha = a.handle(AccessMode::Read);
+        ha.request().unwrap();
+        let ga = ha.acquire_owned().unwrap();
+        let mut hb = b.handle(AccessMode::Read);
+        hb.request().unwrap();
+        let gb = hb.try_acquire_owned().expect("an uncontended read is grantable");
+        assert_eq!((*ga, *gb), (1, 2));
+        let mut writer = a.handle(AccessMode::Write);
+        writer.request().unwrap();
+        assert!(writer.try_acquire().unwrap().is_none(), "the owned read still holds a");
+        drop(ga);
+        assert!(writer.try_acquire().unwrap().is_some());
+        drop(gb);
+        assert!(b.fifo().is_empty());
+    }
+
+    #[test]
+    fn try_acquire_owned_hands_a_blocked_handle_back() {
+        let loc = Location::new("x", 0u8);
+        let mut first = loc.handle(AccessMode::Write);
+        first.request().unwrap();
+        let held = first.acquire_owned().unwrap();
+        let mut second = loc.handle(AccessMode::Write);
+        second.request().unwrap();
+        let second = second.try_acquire_owned().err().expect("blocked behind the held write");
+        assert!(second.has_pending_request(), "the handed-back handle keeps its FIFO slot");
+        drop(held);
+        assert!(second.try_acquire_owned().is_ok());
+        // An unposted one-shot handle is never grantable; the blocking
+        // variant names the mistake.
+        let unposted = loc.handle(AccessMode::Read).try_acquire_owned().err().unwrap();
+        assert!(matches!(unposted.acquire_owned(), Err(OrwlError::NoPendingRequest)));
     }
 
     #[test]

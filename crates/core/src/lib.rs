@@ -74,7 +74,7 @@ pub mod stats;
 pub mod task;
 
 pub use error::{ConfigError, OrwlError};
-pub use handle::{Handle, OrwlGuard};
+pub use handle::{Handle, OrwlGuard, OwnedGuard};
 pub use json::{Json, JsonError, ToJson};
 pub use location::{Location, LocationId};
 pub use monitor::{AccessSink, RebindPlan, SinkRegistration};

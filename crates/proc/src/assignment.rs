@@ -136,6 +136,19 @@ pub struct PhasePlan {
     pub reads: Vec<ReadEdge>,
 }
 
+impl PhasePlan {
+    /// A task reads each source at most once per iteration: the worker
+    /// batches a task's remote reads by owner, and the owner's deadlock
+    /// freedom rests on a batch naming each location once.
+    fn check_edges_unique(&self, k: usize) -> Result<(), String> {
+        let mut seen = std::collections::BTreeSet::new();
+        match self.reads.iter().find(|r| !seen.insert((r.reader, r.src))) {
+            Some(r) => Err(format!("phase {k}: read edge ({}, {}) repeats", r.reader, r.src)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The complete per-worker run description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
@@ -293,6 +306,7 @@ impl Assignment {
             return Err(format!("node_of_task references node {bad} of {}", self.n_nodes));
         }
         for (k, phase) in self.phases.iter().enumerate() {
+            phase.check_edges_unique(k)?;
             for r in &phase.reads {
                 if r.reader >= self.n_tasks || r.src >= self.n_tasks {
                     return Err(format!(
@@ -390,6 +404,7 @@ impl ReAssignment {
             }
         }
         for (k, phase) in self.phases.iter().enumerate() {
+            phase.check_edges_unique(k)?;
             for r in &phase.reads {
                 if r.reader >= n_tasks || r.src >= n_tasks {
                     return Err(format!(
@@ -617,6 +632,11 @@ mod tests {
         let mut short = sample();
         short.peer_listen.pop();
         assert!(short.validate().unwrap_err().contains("peer_listen"));
+
+        let mut twice = sample();
+        let edge = twice.phases[0].reads[0].clone();
+        twice.phases[0].reads.push(edge);
+        assert!(twice.validate().unwrap_err().contains("repeats"));
     }
 
     #[test]
@@ -677,5 +697,10 @@ mod tests {
         let mut extra = sample_reassign();
         extra.phases[0].reads.push(ReadEdge { reader: 0, src: 1, bytes: 8.0 });
         assert!(extra.validate().unwrap_err().contains("not adopted"));
+
+        let mut twice = sample_reassign();
+        let edge = twice.phases[0].reads[0].clone();
+        twice.phases[0].reads.push(edge);
+        assert!(twice.validate().unwrap_err().contains("repeats"));
     }
 }

@@ -4,10 +4,10 @@
 //! The pool owns the run's rendezvous directory (under the system temp
 //! dir), the control listener, one [`Child`] per node with its stderr
 //! pipe, and one control connection per node.  All of them feed a single
-//! readiness loop ([`WorkerPool::next_event`]): one `poll(2)` over the
+//! readiness loop (`WorkerPool::next_event`): one `poll(2)` over the
 //! listener, every control socket and every stderr pipe, with its timeout
 //! set to the caller's nearest deadline.  Each frame passes a per-node
-//! state machine ([`NodeState`]) before the caller sees it, so an
+//! state machine (`NodeState`) before the caller sees it, so an
 //! out-of-state frame is a typed failure naming the node.  A worker holds
 //! its control socket and its stderr pipe for its whole life, so the two
 //! closing is its exit signal: the process is reaped right then, and one

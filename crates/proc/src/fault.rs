@@ -55,12 +55,13 @@ pub enum Fault {
         /// Delay from `Start` to the self-kill, in milliseconds.
         after_ms: u64,
     },
-    /// Sleep `ms` before every remote read the node issues, simulating
-    /// a degraded fabric link without touching byte accounting.
+    /// Sleep `ms` before every remote exchange the node opens (one per
+    /// task, owner and iteration, however many sections it batches),
+    /// simulating a degraded fabric link without touching byte accounting.
     WireDelay {
         /// Target node.
         node: usize,
-        /// Added latency per remote read, in milliseconds.
+        /// Added latency per remote exchange, in milliseconds.
         ms: u64,
     },
     /// Drop the node's first `first_n` heartbeats on the floor (the
@@ -228,7 +229,7 @@ impl FaultPlan {
         })
     }
 
-    /// Per-remote-read delay for `node`, if any.
+    /// Per-remote-exchange delay for `node`, if any.
     #[must_use]
     pub fn wire_delay_ms(&self, node: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {

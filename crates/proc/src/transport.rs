@@ -1,8 +1,10 @@
 //! Framed message transport over a stream socket.
 //!
 //! [`FramedStream`] wraps a connected [`UnixStream`] with the wire codec
-//! from [`crate::wire`]: `send` writes one whole frame, `recv` blocks (up
-//! to a deadline) until one whole message decoded.  The framing is pure
+//! from [`crate::wire`]: `send` writes one whole frame, `queue` + `flush`
+//! write a batch of frames with one `write`, `recv` blocks (up to a
+//! deadline) until one whole message decoded, and `try_buffered` takes a
+//! message that already arrived without touching the socket.  The framing is pure
 //! length-prefixed bytes, so the same code works over TCP for inter-host
 //! deployment — only the connect/accept calls differ.
 //!
@@ -10,7 +12,7 @@
 //! worker folds these tallies into its metrics report, which is where the
 //! backend's *measured* hop-bytes come from.
 
-use crate::wire::{FrameReader, Message, WireError};
+use crate::wire::{encode_grant_into, FrameReader, Message, WireError};
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
@@ -75,6 +77,9 @@ pub struct FramedStream {
     stream: UnixStream,
     reader: FrameReader,
     read_buf: [u8; 64 * 1024],
+    /// Encoded frames queued for the next `flush`, reused across batches.
+    out: Vec<u8>,
+    queued: u64,
     frames_sent: u64,
     frames_received: u64,
     bytes_sent: u64,
@@ -89,6 +94,8 @@ impl FramedStream {
             stream,
             reader: FrameReader::new(),
             read_buf: [0; 64 * 1024],
+            out: Vec::new(),
+            queued: 0,
             frames_sent: 0,
             frames_received: 0,
             bytes_sent: 0,
@@ -163,13 +170,40 @@ impl FramedStream {
         self.bytes_received
     }
 
-    /// Writes one message as a single frame.
+    /// Writes one message as a single frame (after anything queued).
     pub fn send(&mut self, message: &Message) -> std::io::Result<()> {
-        let frame = message.encode();
-        self.stream.write_all(&frame)?;
-        self.frames_sent += 1;
-        self.bytes_sent += frame.len() as u64;
-        Ok(())
+        self.queue(message);
+        self.flush()
+    }
+
+    /// Appends one message's frame to the outgoing batch; nothing is
+    /// written until [`FramedStream::flush`].
+    pub fn queue(&mut self, message: &Message) {
+        message.encode_into(&mut self.out);
+        self.queued += 1;
+    }
+
+    /// Appends one `LockGrant` frame to the outgoing batch, its `len`-byte
+    /// location buffer filled in place (see [`encode_grant_into`]).
+    pub fn queue_grant(&mut self, seq: u64, location: u64, len: usize, fill: impl FnOnce(&mut [u8])) {
+        encode_grant_into(&mut self.out, seq, location, len, fill);
+        self.queued += 1;
+    }
+
+    /// Writes every queued frame with one `write_all`.  The batch is
+    /// dropped either way: after a failed write the framing is broken.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        if self.queued == 0 {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        if written.is_ok() {
+            self.frames_sent += self.queued;
+            self.bytes_sent += self.out.len() as u64;
+        }
+        self.out.clear();
+        self.queued = 0;
+        written
     }
 
     /// Writes one message as a single frame, bounded by `deadline`.
@@ -219,7 +253,7 @@ impl FramedStream {
     pub fn recv(&mut self, deadline: Duration) -> Result<Message, RecvError> {
         let start = Instant::now();
         loop {
-            if let Some(message) = self.try_next()? {
+            if let Some(message) = self.try_buffered()? {
                 return Ok(message);
             }
             let left = deadline.saturating_sub(start.elapsed());
@@ -251,7 +285,7 @@ impl FramedStream {
             Err(e) => return Err(RecvError::Io(e)),
         };
         let mut messages = Vec::new();
-        while let Some(message) = self.try_next()? {
+        while let Some(message) = self.try_buffered()? {
             messages.push(message);
         }
         if closed && messages.is_empty() {
@@ -265,7 +299,9 @@ impl FramedStream {
         self.reader.push(&self.read_buf[..n]);
     }
 
-    fn try_next(&mut self) -> Result<Option<Message>, RecvError> {
+    /// The next whole message already buffered, if any; never reads the
+    /// socket.
+    pub fn try_buffered(&mut self) -> Result<Option<Message>, RecvError> {
         let message = self.reader.try_next().map_err(RecvError::Wire)?;
         self.frames_received += u64::from(message.is_some());
         Ok(message)
@@ -400,6 +436,27 @@ mod tests {
         a.send_with_deadline(&msg, Duration::from_secs(5)).unwrap();
         assert_eq!(b.recv(Duration::from_secs(5)).unwrap(), msg);
         assert_eq!(a.frames_sent(), 1);
+    }
+
+    #[test]
+    fn a_queued_batch_is_one_write_and_counts_every_frame() {
+        let (mut a, mut b) = pair();
+        a.queue(&Message::Release { seq: 1, location: 2 });
+        a.queue_grant(3, 4, 5, |data| data[0] = 9);
+        assert_eq!(a.frames_sent(), 0, "nothing leaves before the flush");
+        a.flush().unwrap();
+        assert_eq!(a.frames_sent(), 2);
+        assert_eq!(b.recv(Duration::from_secs(5)).unwrap(), Message::Release { seq: 1, location: 2 });
+        // The grant arrived with the same read: it is taken without
+        // touching the socket.
+        assert_eq!(
+            b.try_buffered().unwrap(),
+            Some(Message::LockGrant { seq: 3, location: 4, data: vec![9, 0, 0, 0, 0] })
+        );
+        assert_eq!(b.try_buffered().unwrap(), None);
+        assert_eq!(a.bytes_sent(), b.bytes_received());
+        a.flush().unwrap(); // an empty flush writes nothing
+        assert_eq!(a.frames_sent(), 2);
     }
 
     #[test]

@@ -309,69 +309,116 @@ impl Message {
     /// cap grant data at [`MAX_DATA`] and snapshots at [`MAX_SNAPSHOT`].
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut frame = Vec::new();
+        self.encode_into(&mut frame);
+        frame
+    }
+
+    /// Appends the message's frame to `out`, writing the payload in place
+    /// (no intermediate buffer), so a batch of frames builds in one
+    /// reused vector.
+    ///
+    /// # Panics
+    /// As [`Message::encode`].
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = begin_frame(out, self.kind());
         match self {
             Message::Hello { node } | Message::Ready { node } | Message::Done { node } => {
-                payload.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(&node.to_le_bytes());
             }
             Message::Assignment { json } | Message::Error { message: json } => {
-                payload.extend_from_slice(json.as_bytes());
+                out.extend_from_slice(json.as_bytes());
             }
             Message::Start | Message::Shutdown => {}
             Message::LockRequest { seq, location, access, bytes } => {
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
-                payload.push(access.code());
-                payload.extend_from_slice(&bytes.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&location.to_le_bytes());
+                out.push(access.code());
+                out.extend_from_slice(&bytes.to_le_bytes());
             }
             Message::LockGrant { seq, location, data } => {
                 assert!(data.len() <= MAX_DATA, "grant data over MAX_DATA");
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
-                payload.extend_from_slice(data);
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&location.to_le_bytes());
+                out.extend_from_slice(data);
             }
             Message::Release { seq, location } => {
-                payload.extend_from_slice(&seq.to_le_bytes());
-                payload.extend_from_slice(&location.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&location.to_le_bytes());
             }
             Message::Metrics { node, json } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(json.as_bytes());
+                out.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(json.as_bytes());
             }
             Message::TelemetryUpload { node, snapshot } => {
                 assert!(snapshot.len() <= MAX_SNAPSHOT, "snapshot over MAX_SNAPSHOT");
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(snapshot);
+                out.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(snapshot);
             }
             Message::Heartbeat { node, seq } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(&seq.to_le_bytes());
+                out.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(&seq.to_le_bytes());
             }
             Message::TelemetryDelta { node, delta } => {
                 assert!(delta.len() <= MAX_DELTA, "delta over MAX_DELTA");
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(delta);
+                out.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(delta);
             }
             Message::Quiesce { round } | Message::Resume { round } => {
-                payload.extend_from_slice(&round.to_le_bytes());
+                out.extend_from_slice(&round.to_le_bytes());
             }
             Message::QuiesceAck { node, round } => {
-                payload.extend_from_slice(&node.to_le_bytes());
-                payload.extend_from_slice(&round.to_le_bytes());
+                out.extend_from_slice(&node.to_le_bytes());
+                out.extend_from_slice(&round.to_le_bytes());
             }
             Message::ReAssignment { json } => {
-                payload.extend_from_slice(json.as_bytes());
+                out.extend_from_slice(json.as_bytes());
             }
         }
-        assert!(payload.len() <= Message::max_payload_of(self.kind()), "payload over its kind's cap");
-        let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-        frame.extend_from_slice(&MAGIC);
-        frame.extend_from_slice(&VERSION.to_le_bytes());
-        frame.push(self.kind());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+        end_frame(out, start, self.kind());
     }
+}
+
+/// Appends one [`Message::LockGrant`] frame whose `len`-byte location
+/// buffer starts zeroed and is filled in place by `fill` — the owner's
+/// grant path, byte-identical to encoding the message with the same data
+/// but with no per-grant buffer.
+///
+/// # Panics
+/// If `len` exceeds [`MAX_DATA`].
+pub fn encode_grant_into(
+    out: &mut Vec<u8>,
+    seq: u64,
+    location: u64,
+    len: usize,
+    fill: impl FnOnce(&mut [u8]),
+) {
+    assert!(len <= MAX_DATA, "grant data over MAX_DATA");
+    let start = begin_frame(out, KIND_LOCK_GRANT);
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&location.to_le_bytes());
+    let data = out.len();
+    out.resize(data + len, 0);
+    fill(&mut out[data..]);
+    end_frame(out, start, KIND_LOCK_GRANT);
+}
+
+/// Appends a frame header with a placeholder length; returns where the
+/// frame starts.
+fn begin_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(&[0; 4]);
+    start
+}
+
+/// Patches the payload length of the frame begun at `start`.
+fn end_frame(out: &mut [u8], start: usize, kind: u8) {
+    let len = out.len() - start - HEADER_LEN;
+    assert!(len <= Message::max_payload_of(kind), "payload over its kind's cap");
+    out[start + 7..start + HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// A malformed frame or payload.
@@ -528,12 +575,16 @@ fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, Wir
 #[derive(Debug)]
 pub struct FrameReader {
     buf: Vec<u8>,
+    /// Start of the undecoded bytes: decoding advances it, and `push`
+    /// compacts the consumed prefix away once, so decoding k frames from
+    /// one push costs one memmove, not k.
+    read: usize,
     max_version: u16,
 }
 
 impl Default for FrameReader {
     fn default() -> Self {
-        FrameReader { buf: Vec::new(), max_version: VERSION }
+        FrameReader { buf: Vec::new(), read: 0, max_version: VERSION }
     }
 }
 
@@ -548,46 +599,49 @@ impl FrameReader {
     /// tests) an older peer receiving newer frames.
     #[must_use]
     pub fn with_max_version(max_version: u16) -> Self {
-        FrameReader { buf: Vec::new(), max_version }
+        FrameReader { max_version, ..FrameReader::default() }
     }
 
     /// Appends bytes read from the transport.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.read);
+        self.read = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet decoded.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.read
     }
 
     /// Decodes the next complete message, if one is buffered.  A decode
     /// error is fatal for the stream: the reader makes no attempt to
     /// resynchronise.
     pub fn try_next(&mut self) -> Result<Option<Message>, WireError> {
-        if self.buf.len() < HEADER_LEN {
+        let buf = &self.buf[self.read..];
+        if buf.len() < HEADER_LEN {
             return Ok(None);
         }
-        let magic: [u8; 4] = self.buf[0..4].try_into().unwrap();
+        let magic: [u8; 4] = buf[0..4].try_into().unwrap();
         if magic != MAGIC {
             return Err(WireError::BadMagic { got: magic });
         }
-        let version = u16::from_le_bytes(self.buf[4..6].try_into().unwrap());
+        let version = u16::from_le_bytes(buf[4..6].try_into().unwrap());
         if !(MIN_VERSION..=self.max_version).contains(&version) {
             return Err(WireError::BadVersion { got: version });
         }
-        let kind = self.buf[6];
-        let len = u32::from_le_bytes(self.buf[7..11].try_into().unwrap());
+        let kind = buf[6];
+        let len = u32::from_le_bytes(buf[7..11].try_into().unwrap());
         if len as usize > Message::max_payload_of(kind) {
             return Err(WireError::PayloadTooLarge { len });
         }
         let total = HEADER_LEN + len as usize;
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        let message = decode_payload(version, kind, &self.buf[HEADER_LEN..total])?;
-        self.buf.drain(..total);
+        let message = decode_payload(version, kind, &buf[HEADER_LEN..total])?;
+        self.read += total;
         Ok(Some(message))
     }
 }
@@ -965,6 +1019,36 @@ mod tests {
         }
         assert_eq!(decoded.as_slice(), messages.as_slice());
         assert_eq!(reader.pending(), 0);
+    }
+
+    #[test]
+    fn one_push_of_many_frames_decodes_in_order() {
+        let stream: Vec<u8> = (0..1_000u64)
+            .flat_map(|seq| Message::LockGrant { seq, location: seq % 7, data: vec![seq as u8; 16] }.encode())
+            .collect();
+        let mut reader = FrameReader::new();
+        reader.push(&stream);
+        for seq in 0..1_000u64 {
+            assert_eq!(
+                reader.try_next().unwrap(),
+                Some(Message::LockGrant { seq, location: seq % 7, data: vec![seq as u8; 16] })
+            );
+        }
+        assert_eq!(reader.try_next().unwrap(), None);
+        assert_eq!(reader.pending(), 0);
+    }
+
+    #[test]
+    fn in_place_grant_encoding_matches_the_message_encoding() {
+        for len in [0usize, 3, 8, 2048] {
+            let value = 0x0102_0304_0506_0708u64.to_le_bytes();
+            let mut data = vec![0u8; len];
+            let head = len.min(8);
+            data[..head].copy_from_slice(&value[..head]);
+            let mut out = vec![0xFF]; // appends after what is already there
+            encode_grant_into(&mut out, 11, 5, len, |buf| buf[..head].copy_from_slice(&value[..head]));
+            assert_eq!(out[1..], Message::LockGrant { seq: 11, location: 5, data }.encode()[..], "len {len}");
+        }
     }
 
     /// A strategy-driven arbitrary message: kind selector plus generously

@@ -38,16 +38,36 @@
 //! reader's `LockRequest` enters the owner's local FIFO (a one-shot read
 //! handle on the owned location), the `LockGrant` carries the location
 //! buffer back, and the reader's `Release` closes the section.  Each
-//! (reader, owner) pair shares one connection and the reader holds it for
-//! the whole request→grant→release exchange, so a connection never
-//! interleaves two sections and the server side needs no demultiplexer.
+//! (reader, owner) pair shares one connection, and a task's remote reads
+//! travel as one *exchange* per (task, owner, iteration): all of the
+//! batch's requests in one write, the grants read back in request order,
+//! then all of its releases in one write.  The reader holds the
+//! connection for the whole exchange, so exchanges never interleave and
+//! the owner needs no demultiplexer; every section still keeps its own
+//! three frames and its own seq.  The owner serves each connection with
+//! one loop that never waits for a release: it grants requests in
+//! arrival order, flushes the grants it has encoded before it would
+//! block on a FIFO, and drops a section when its release arrives.
+//!
+//! Deadlock freedom: a batch names each location once, in ascending
+//! order, and the owner holds the batch's sections until the releases
+//! arrive, which the reader sends as soon as it has every grant.  A task
+//! body holds at most one lock at a time and holds nothing while it waits
+//! on an exchange.  So whatever a serving thread waits on is held either
+//! by a task body (which finishes its section without waiting) or by
+//! another serving thread that holds only smaller locations and waits
+//! only on larger ones — every wait-for chain climbs in location order
+//! and ends, and no cycle can form.  Flushing before blocking matters:
+//! the reader of a grant that is already decided must not wait on a
+//! later section of its own batch.
 
 use crate::assignment::{Assignment, ReAssignment};
 use crate::coordinator::{ENV_COORD, ENV_NODE, ENV_ROLE};
 use crate::fault::FaultPlan;
 use crate::metrics::{WorkerMetrics, MAX_WAIT_SAMPLES};
-use crate::transport::{FramedStream, RecvError};
+use crate::transport::FramedStream;
 use crate::wire::{Message, WireAccess, MAX_DATA};
+use orwl_core::handle::OwnedGuard;
 use orwl_core::location::Location;
 use orwl_core::request::AccessMode;
 use orwl_core::session::{Session, ThreadBackend};
@@ -304,8 +324,8 @@ impl PeerGateway {
         }
     }
 
-    /// One remote read section: request → grant (with payload) → release.
-    fn remote_read(&self, src: usize, bytes: f64) -> Result<(), String> {
+    /// The node currently owning `src`'s location (remote sources only).
+    fn owner_of(&self, src: usize) -> Result<usize, String> {
         let owner = self
             .routing
             .read()
@@ -316,39 +336,53 @@ impl PeerGateway {
         if owner == self.my_node {
             return Err(format!("task {src} is routed here but its location is absent"));
         }
+        Ok(owner)
+    }
+
+    /// One exchange with the batch's owner: every request in one write,
+    /// the grants (with payload) in request order, every release in one
+    /// write.  Each section keeps its own seq and its own three frames.
+    fn exchange(&self, batch: &RemoteBatch) -> Result<(), String> {
+        let owner = batch.owner;
         let conn = self.conn_for(owner)?;
         if !self.wire_delay.is_zero() {
             // Injected link latency (fault plans only; zero in production
-            // runs), paid before the section opens.
+            // runs), paid before the exchange opens.
             std::thread::sleep(self.wire_delay);
         }
         let mut stream = conn.lock().map_err(|_| "gateway connection poisoned".to_string())?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let want = (bytes.round().max(0.0) as u64).min(MAX_DATA as u64);
-        let location = src as u64;
-        orwl_obs::emit(EventKind::LockRequest { rseq: seq, location, owner: owner as u32 });
-        stream
-            .send(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes: want })
-            .map_err(|e| format!("lock request to peer {owner}: {e}"))?;
+        let first = self.seq.fetch_add(batch.reads.len() as u64, Ordering::Relaxed);
+        let sections = || batch.reads.iter().zip(first..);
+        for (&(location, bytes), seq) in sections() {
+            orwl_obs::emit(EventKind::LockRequest { rseq: seq, location, owner: owner as u32 });
+            stream.queue(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes });
+        }
+        stream.flush().map_err(|e| format!("lock requests to peer {owner}: {e}"))?;
         let requested = Instant::now();
-        let granted = match stream.recv(self.io_timeout) {
-            Ok(Message::LockGrant { seq: s, location: l, data }) if s == seq && l == location => data,
-            Ok(Message::Error { message }) => return Err(format!("peer {owner}: {message}")),
-            Ok(other) => {
-                return Err(format!("peer {owner}: expected lock_grant, got {}", other.name()));
-            }
-            Err(e) => return Err(format!("peer {owner}: waiting for grant: {e}")),
-        };
-        let wait_ns = requested.elapsed().as_nanos() as u64;
-        let granted_at = Instant::now();
-        stream
-            .send(&Message::Release { seq, location })
-            .map_err(|e| format!("release to peer {owner}: {e}"))?;
-        orwl_obs::emit(EventKind::LockRelease {
-            rseq: seq,
-            location,
-            held_ns: granted_at.elapsed().as_nanos() as u64,
-        });
+        // Per section: (payload bytes, request→grant ns, grant instant).
+        let mut grants = Vec::with_capacity(batch.reads.len());
+        for (&(location, _), seq) in sections() {
+            let data = match stream.recv(self.io_timeout) {
+                Ok(Message::LockGrant { seq: s, location: l, data }) if s == seq && l == location => data,
+                Ok(Message::Error { message }) => return Err(format!("peer {owner}: {message}")),
+                Ok(other) => {
+                    return Err(format!("peer {owner}: expected lock_grant, got {}", other.name()));
+                }
+                Err(e) => return Err(format!("peer {owner}: waiting for grant: {e}")),
+            };
+            grants.push((data.len() as u64, requested.elapsed().as_nanos() as u64, Instant::now()));
+        }
+        for (&(location, _), seq) in sections() {
+            stream.queue(&Message::Release { seq, location });
+        }
+        stream.flush().map_err(|e| format!("releases to peer {owner}: {e}"))?;
+        for ((&(location, _), seq), &(_, _, granted_at)) in sections().zip(&grants) {
+            orwl_obs::emit(EventKind::LockRelease {
+                rseq: seq,
+                location,
+                held_ns: granted_at.elapsed().as_nanos() as u64,
+            });
+        }
         drop(stream);
 
         let lane = if self.rack_of_node[owner] == self.my_rack {
@@ -356,14 +390,14 @@ impl PeerGateway {
         } else {
             &self.tallies.cross_rack_payload_bytes
         };
-        lane.fetch_add(granted.len() as u64, Ordering::Relaxed);
-        self.tallies.remote_reads.fetch_add(1, Ordering::Relaxed);
-        self.tallies.lock_wait_count.fetch_add(1, Ordering::Relaxed);
-        self.tallies.lock_wait_total_ns.fetch_add(wait_ns, Ordering::Relaxed);
+        lane.fetch_add(grants.iter().map(|g| g.0).sum(), Ordering::Relaxed);
+        let n = grants.len() as u64;
+        self.tallies.remote_reads.fetch_add(n, Ordering::Relaxed);
+        self.tallies.lock_wait_count.fetch_add(n, Ordering::Relaxed);
+        self.tallies.lock_wait_total_ns.fetch_add(grants.iter().map(|g| g.1).sum(), Ordering::Relaxed);
         if let Ok(mut samples) = self.tallies.lock_wait_samples.lock() {
-            if samples.len() < MAX_WAIT_SAMPLES {
-                samples.push((location, wait_ns));
-            }
+            let room = MAX_WAIT_SAMPLES.saturating_sub(samples.len());
+            samples.extend(batch.reads.iter().zip(&grants).take(room).map(|(r, g)| (r.0, g.1)));
         }
         Ok(())
     }
@@ -375,97 +409,130 @@ impl PeerGateway {
     }
 }
 
-/// Serves one inbound peer connection: each `LockRequest` runs a one-shot
-/// handle through the owned location's ORWL FIFO, the grant ships the
-/// buffer, and the section stays open until the peer's `Release`.
-fn serve_connection(
-    mut stream: FramedStream,
-    locations: SharedLocations,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-) -> (u64, u64, u64, u64) {
+/// Serves one inbound peer connection until the peer hangs up: each
+/// `LockRequest` enters the owned location's ORWL FIFO through a one-shot
+/// handle and, once granted, queues its grant (the buffer encoded in
+/// place); each `Release` drops its section.  The loop never waits for a
+/// release.  Queued grants go out when no whole frame is left buffered,
+/// and before any FIFO wait that would otherwise hold back grants already
+/// decided.  Whatever is still held when the loop ends is released.
+fn serve_connection(mut stream: FramedStream, locations: SharedLocations) -> (u64, u64, u64, u64) {
+    // Granted sections awaiting their release: (seq, location, guard).
+    let mut held: Vec<(u64, u64, OwnedGuard<u64>)> = Vec::new();
     loop {
-        match stream.recv(Duration::from_millis(200)) {
-            Ok(Message::LockRequest { seq, location, access, bytes }) => {
-                // Clone the Arc out and release the map guard before any
-                // FIFO work: a blocked acquire must not hold the map
-                // against the recovery path's adoption write.
-                let loc = locations.read().ok().and_then(|map| map.get(&location).cloned());
-                let Some(loc) = loc else {
-                    let _ = stream
-                        .send(&Message::Error { message: format!("location {location} is not hosted here") });
-                    break;
-                };
-                let mode = match access {
-                    WireAccess::Read => AccessMode::Read,
-                    WireAccess::Write => AccessMode::Write,
-                };
-                let mut handle = loc.handle(mode);
-                let entered_fifo = Instant::now();
-                if let Err(e) = handle.request() {
-                    let _ = stream.send(&Message::Error { message: format!("lock request: {e}") });
+        let message = match stream.try_buffered() {
+            Ok(Some(message)) => message,
+            Ok(None) => {
+                if stream.flush().is_err() {
                     break;
                 }
-                let guard = match handle.acquire() {
-                    Ok(guard) => guard,
-                    Err(e) => {
-                        let _ = stream.send(&Message::Error { message: format!("lock acquisition: {e}") });
-                        break;
-                    }
-                };
-                let len = (bytes.min(MAX_DATA as u64)) as usize;
-                let mut data = vec![0u8; len];
-                let value = (*guard).to_le_bytes();
-                let head = len.min(value.len());
-                data[..head].copy_from_slice(&value[..head]);
-                orwl_obs::emit(EventKind::LockGrant {
-                    rseq: seq,
-                    location,
-                    wait_ns: entered_fifo.elapsed().as_nanos() as u64,
-                });
-                if stream.send(&Message::LockGrant { seq, location, data }).is_err() {
-                    break;
-                }
-                match stream.recv(io_timeout) {
-                    Ok(Message::Release { seq: s, location: l }) if s == seq && l == location => {
-                        drop(guard);
-                    }
-                    _ => break, // broken section: the guard drops with the loop
-                }
-            }
-            Ok(_) => break,
-            Err(RecvError::Timeout) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    break;
+                // Block on the socket: the peer's hang-up, or teardown's
+                // `shutdown(Read)` (see `accept_loop`), ends the wait.
+                match stream.recv(Duration::MAX) {
+                    Ok(message) => message,
+                    Err(_) => break,
                 }
             }
             Err(_) => break,
+        };
+        match message {
+            Message::LockRequest { seq, location, access, bytes } => {
+                match grant(&mut stream, &locations, seq, location, access, bytes) {
+                    Ok(guard) => held.push((seq, location, guard)),
+                    Err(message) => {
+                        let _ = stream.send(&Message::Error { message });
+                        break;
+                    }
+                }
+            }
+            Message::Release { seq, location } => {
+                match held.iter().position(|&(s, l, _)| s == seq && l == location) {
+                    Some(at) => drop(held.swap_remove(at)),
+                    None => break, // a release for no held section: broken stream
+                }
+            }
+            _ => break,
         }
     }
+    drop(held);
     (stream.frames_sent(), stream.frames_received(), stream.bytes_sent(), stream.bytes_received())
+}
+
+/// Grants one remote section through the owned location's FIFO — the
+/// same `orwl_core` grant path as a local `Handle::acquire` — and queues
+/// its `LockGrant`.  A request that cannot be granted at once first
+/// flushes the grants already queued, then blocks.
+fn grant(
+    stream: &mut FramedStream,
+    locations: &SharedLocations,
+    seq: u64,
+    location: u64,
+    access: WireAccess,
+    bytes: u64,
+) -> Result<OwnedGuard<u64>, String> {
+    // Clone the Arc out and release the map guard before any FIFO work: a
+    // blocked acquire must not hold the map against the recovery path's
+    // adoption write.
+    let loc = locations
+        .read()
+        .ok()
+        .and_then(|map| map.get(&location).cloned())
+        .ok_or_else(|| format!("location {location} is not hosted here"))?;
+    let mode = match access {
+        WireAccess::Read => AccessMode::Read,
+        WireAccess::Write => AccessMode::Write,
+    };
+    let mut handle = loc.handle(mode);
+    let entered_fifo = Instant::now();
+    handle.request().map_err(|e| format!("lock request: {e}"))?;
+    let guard = match handle.try_acquire_owned() {
+        Ok(guard) => guard,
+        Err(handle) => {
+            stream.flush().map_err(|e| format!("flushing grants: {e}"))?;
+            handle.acquire_owned().map_err(|e| format!("lock acquisition: {e}"))?
+        }
+    };
+    orwl_obs::emit(EventKind::LockGrant {
+        rseq: seq,
+        location,
+        wait_ns: entered_fifo.elapsed().as_nanos() as u64,
+    });
+    let len = (bytes.min(MAX_DATA as u64)) as usize;
+    let value = (*guard).to_le_bytes();
+    stream.queue_grant(seq, location, len, |data| {
+        let head = data.len().min(value.len());
+        data[..head].copy_from_slice(&value[..head]);
+    });
+    Ok(guard)
 }
 
 /// The accept loop: hands every inbound connection to its own serving
 /// thread and, once shut down (the flag is set, then one connection
-/// wakes the blocked `accept`), joins them and returns the summed socket
-/// counters as `(frames_sent, frames_received, bytes_sent, bytes_received)`.
+/// wakes the blocked `accept`), ends every serving loop with
+/// `shutdown(Read)` on its socket, joins them and returns the summed
+/// socket counters as `(frames_sent, frames_received, bytes_sent,
+/// bytes_received)`.  Shutdown comes after the coordinator's `Shutdown`
+/// barrier, so every section anywhere is released by then; frames already
+/// buffered are still read before the end-of-stream.
 fn accept_loop(
     listener: UnixListener,
     locations: SharedLocations,
     shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
 ) -> (u64, u64, u64, u64) {
     let mut handlers = Vec::new();
+    let mut sockets = Vec::new();
     for stream in listener.incoming() {
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
         let Ok(stream) = stream else { break };
+        let Ok(socket) = stream.try_clone() else { break };
+        sockets.push(socket);
         let locations = Arc::clone(&locations);
-        let shutdown = Arc::clone(&shutdown);
-        handlers.push(std::thread::spawn(move || {
-            serve_connection(FramedStream::new(stream), locations, shutdown, io_timeout)
-        }));
+        handlers.push(std::thread::spawn(move || serve_connection(FramedStream::new(stream), locations)));
+    }
+    for socket in &sockets {
+        let _ = socket.shutdown(std::net::Shutdown::Read);
     }
     let mut totals = (0, 0, 0, 0);
     for handler in handlers {
@@ -526,9 +593,56 @@ impl Interrupt {
 /// One task's plan: per phase, `(iterations, reads as (src, bytes))`.
 type PhaseSchedule = Vec<(usize, Vec<(usize, f64)>)>;
 
-/// A [`PhaseSchedule`] with each read's locality resolved for the
-/// current round: `Some(location)` when the source lives on this node.
-type ResolvedSchedule = Vec<(usize, Vec<(usize, f64, Option<Arc<Location<u64>>>)>)>;
+/// One exchange's worth of a task's remote reads: the sections it reads
+/// from one owner per iteration, as `(location, bytes wanted)`, each
+/// location once and in ascending order — the order the owner acquires
+/// them in, which its deadlock freedom rests on (see the module doc).
+struct RemoteBatch {
+    owner: usize,
+    reads: Vec<(u64, u64)>,
+}
+
+/// One phase of a task's plan with each read's locality resolved for the
+/// current round.
+struct ResolvedPhase {
+    iterations: usize,
+    /// Reads of locations hosted here, as `(src, bytes, location)`.
+    local: Vec<(usize, f64, Arc<Location<u64>>)>,
+    /// Remote reads, one batch per exchange.
+    remote: Vec<RemoteBatch>,
+}
+
+impl ResolvedPhase {
+    /// Splits one phase's reads into local reads and per-owner remote
+    /// batches against the current location map and routing table.  The
+    /// assignment's validation guarantees each source appears once.
+    fn resolve(
+        iterations: usize,
+        reads: &[(usize, f64)],
+        owned: &HashMap<u64, Arc<Location<u64>>>,
+        gateway: &PeerGateway,
+    ) -> Result<ResolvedPhase, String> {
+        let mut local = Vec::new();
+        let mut by_owner: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+        for &(src, bytes) in reads {
+            match owned.get(&(src as u64)) {
+                Some(loc) => local.push((src, bytes, Arc::clone(loc))),
+                None => {
+                    let want = (bytes.round().max(0.0) as u64).min(MAX_DATA as u64);
+                    by_owner.entry(gateway.owner_of(src)?).or_default().push((src as u64, want));
+                }
+            }
+        }
+        let remote = by_owner
+            .into_iter()
+            .map(|(owner, mut reads)| {
+                reads.sort_unstable_by_key(|&(location, _)| location);
+                RemoteBatch { owner, reads }
+            })
+            .collect();
+        Ok(ResolvedPhase { iterations, local, remote })
+    }
+}
 
 /// The worker's mutable work ledger across rounds: per-task phase
 /// schedules and completed-iteration progress.  Surviving tasks carry
@@ -649,7 +763,7 @@ fn run_worker(
     let server = {
         let locations = Arc::clone(&locations);
         let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || accept_loop(listener, locations, shutdown, io_timeout))
+        std::thread::spawn(move || accept_loop(listener, locations, shutdown))
     };
 
     control.send(&Message::Ready { node: assignment.node as u32 })?;
@@ -982,12 +1096,14 @@ fn compose_metrics(
 /// Runs one round of this worker's unfinished tasks through a real
 /// `orwl_core` session on the reconstructed node topology.  Each
 /// iteration of each task writes its own location under a one-shot write
-/// section, then reads its in-edges one section at a time — locally
-/// through the shared FIFO, remotely through the gateway.  At most one
-/// lock is ever held, so the schedule cannot deadlock whatever the
-/// interleaving across processes.  Locality is resolved against the
-/// location map at round start: it only changes at the quiesce barrier,
-/// where a re-shard can adopt a source here and turn its reads local.
+/// section, reads its local in-edges one section at a time through the
+/// shared FIFO, then runs one exchange per remote owner through the
+/// gateway.  A task body holds at most one lock at a time and none while
+/// an exchange waits, so the schedule cannot deadlock whatever the
+/// interleaving across processes (see the module doc).  Locality and
+/// owners are resolved at round start: they only change at the quiesce
+/// barrier, where a re-shard can adopt a source here and turn its reads
+/// local.
 #[allow(clippy::too_many_lines)]
 fn run_round(
     assignment: &Assignment,
@@ -1018,23 +1134,17 @@ fn run_round(
             .ok_or_else(|| format!("task {t} is scheduled here but owns no location"))?;
         // Resolve each read's locality for this round and build the
         // session's link structure from the local ones.
-        let schedule: ResolvedSchedule = work.schedules[&t]
+        let schedule = work.schedules[&t]
             .iter()
-            .map(|(iterations, reads)| {
-                let reads =
-                    reads.iter().map(|&(src, bytes)| (src, bytes, map.get(&(src as u64)).cloned())).collect();
-                (*iterations, reads)
-            })
-            .collect();
+            .map(|(iterations, reads)| ResolvedPhase::resolve(*iterations, reads, &map, gateway))
+            .collect::<Result<Vec<_>, String>>()?;
         drop(map);
         let mut links = vec![LocationLink::write(own.id(), 8.0)];
         let mut local_read_bytes: BTreeMap<usize, (f64, Arc<Location<u64>>)> = BTreeMap::new();
-        for (_, reads) in &schedule {
-            for (src, bytes, loc) in reads {
-                if let Some(loc) = loc {
-                    let entry = local_read_bytes.entry(*src).or_insert_with(|| (0.0, Arc::clone(loc)));
-                    entry.0 += bytes;
-                }
+        for phase in &schedule {
+            for (src, bytes, loc) in &phase.local {
+                let entry = local_read_bytes.entry(*src).or_insert_with(|| (0.0, Arc::clone(loc)));
+                entry.0 += bytes;
             }
         }
         for (_, (bytes, loc)) in local_read_bytes {
@@ -1048,8 +1158,8 @@ fn run_round(
         let recovery = assignment.recovery;
         program.add_task(TaskSpec::new(format!("task-{t}"), links), move |ctx| {
             let mut acquisitions = 0u64;
-            'phases: for (k, (iterations, reads)) in schedule.iter().enumerate() {
-                while progress[k].load(Ordering::Relaxed) < *iterations {
+            'phases: for (k, phase) in schedule.iter().enumerate() {
+                while progress[k].load(Ordering::Relaxed) < phase.iterations {
                     if interrupt.parked() || failure.lock().map(|f| f.is_some()).unwrap_or(true) {
                         break 'phases;
                     }
@@ -1059,21 +1169,17 @@ fn run_round(
                         *write.acquire().map_err(|e| IterError::Local(e.to_string()))? += 1;
                         drop(write);
                         acquisitions += 1;
-                        for (src, bytes, loc) in reads {
-                            match loc {
-                                Some(src_loc) => {
-                                    let mut read = src_loc.handle(AccessMode::Read);
-                                    read.request().map_err(|e| IterError::Local(e.to_string()))?;
-                                    let guard =
-                                        read.acquire().map_err(|e| IterError::Local(e.to_string()))?;
-                                    std::hint::black_box(*guard);
-                                    drop(guard);
-                                }
-                                None => {
-                                    gateway.remote_read(*src, *bytes).map_err(IterError::Remote)?;
-                                }
-                            }
+                        for (_, _, src_loc) in &phase.local {
+                            let mut read = src_loc.handle(AccessMode::Read);
+                            read.request().map_err(|e| IterError::Local(e.to_string()))?;
+                            let guard = read.acquire().map_err(|e| IterError::Local(e.to_string()))?;
+                            std::hint::black_box(*guard);
+                            drop(guard);
                             acquisitions += 1;
+                        }
+                        for batch in &phase.remote {
+                            gateway.exchange(batch).map_err(IterError::Remote)?;
+                            acquisitions += batch.reads.len() as u64;
                         }
                         Ok(())
                     })();
@@ -1115,5 +1221,126 @@ fn run_round(
     match slot.take() {
         Some(e) => Err(e),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::RecvError;
+
+    /// Owned locations 1..=n, location k holding the value 100 + k.
+    fn owned(n: u64) -> SharedLocations {
+        let map = (1..=n).map(|k| (k, Location::new(format!("loc-{k}"), 100 + k))).collect();
+        Arc::new(RwLock::new(map))
+    }
+
+    fn location(locations: &SharedLocations, k: u64) -> Arc<Location<u64>> {
+        Arc::clone(&locations.read().unwrap()[&k])
+    }
+
+    /// A client stream and the owner's serving thread on the other end.
+    fn serve(locations: &SharedLocations) -> (FramedStream, std::thread::JoinHandle<(u64, u64, u64, u64)>) {
+        let (client, server) = UnixStream::pair().unwrap();
+        let locations = Arc::clone(locations);
+        let owner = std::thread::spawn(move || serve_connection(FramedStream::new(server), locations));
+        (FramedStream::new(client), owner)
+    }
+
+    /// Sends the whole batch of read requests `(seq, location, bytes)` in
+    /// one write.
+    fn request(client: &mut FramedStream, batch: &[(u64, u64, u64)]) {
+        for &(seq, location, bytes) in batch {
+            client.queue(&Message::LockRequest { seq, location, access: WireAccess::Read, bytes });
+        }
+        client.flush().unwrap();
+    }
+
+    fn expect_grant(client: &mut FramedStream, seq: u64, location: u64) -> Vec<u8> {
+        match client.recv(Duration::from_secs(5)) {
+            Ok(Message::LockGrant { seq: s, location: l, data }) if s == seq && l == location => data,
+            other => panic!("expected the grant of seq {seq} on location {location}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_batch_sent_in_one_write_is_granted_in_request_order_at_the_requested_sizes() {
+        let locations = owned(3);
+        let (mut client, owner) = serve(&locations);
+        let batch = [(10, 1, 4), (11, 2, 16), (12, 3, 0)];
+        request(&mut client, &batch);
+        for &(seq, location, bytes) in &batch {
+            let data = expect_grant(&mut client, seq, location);
+            assert_eq!(data.len() as u64, bytes, "seq {seq}");
+            let value = (100 + location).to_le_bytes();
+            let head = data.len().min(8);
+            assert_eq!(data[..head], value[..head], "the buffer head carries the location value");
+            assert!(data[head..].iter().all(|&b| b == 0));
+        }
+        for &(seq, location, _) in &batch {
+            client.queue(&Message::Release { seq, location });
+        }
+        client.flush().unwrap();
+        drop(client);
+        let (frames_sent, frames_received, _, _) = owner.join().unwrap();
+        assert_eq!(
+            (frames_sent, frames_received),
+            (3, 6),
+            "three grants out; three requests and releases in"
+        );
+        for k in 1..=3 {
+            assert!(location(&locations, k).fifo().is_empty(), "location {k} released");
+        }
+    }
+
+    #[test]
+    fn grants_already_decided_are_flushed_before_the_owner_blocks() {
+        let locations = owned(2);
+        let loc2 = location(&locations, 2);
+        let mut writer = loc2.handle(AccessMode::Write);
+        writer.request().unwrap();
+        let held = writer.acquire().unwrap();
+
+        let (mut client, owner) = serve(&locations);
+        request(&mut client, &[(1, 1, 8), (2, 2, 8)]);
+        // Location 2 is still write-held here, yet the grant of location 1
+        // arrives: the owner flushed it before blocking on location 2.
+        expect_grant(&mut client, 1, 1);
+        assert!(matches!(client.recv(Duration::from_millis(100)), Err(RecvError::Timeout)));
+        drop(held);
+        expect_grant(&mut client, 2, 2);
+        drop(client);
+        owner.join().unwrap();
+    }
+
+    #[test]
+    fn a_peer_hang_up_mid_batch_releases_every_held_section() {
+        let locations = owned(3);
+        let loc3 = location(&locations, 3);
+        let mut writer = loc3.handle(AccessMode::Write);
+        writer.request().unwrap();
+        let held = writer.acquire().unwrap();
+
+        let (mut client, owner) = serve(&locations);
+        request(&mut client, &[(1, 1, 8), (2, 2, 8), (3, 3, 8)]);
+        expect_grant(&mut client, 1, 1);
+        expect_grant(&mut client, 2, 2);
+        drop(client); // hang up holding sections 1 and 2, with 3 queued
+        drop(held);
+
+        let (done, acquired) = mpsc::channel();
+        let writers = Arc::clone(&locations);
+        std::thread::spawn(move || {
+            for k in 1..=3 {
+                let mut write = location(&writers, k).handle(AccessMode::Write);
+                write.request().unwrap();
+                drop(write.acquire().unwrap());
+                done.send(k).unwrap();
+            }
+        });
+        for k in 1..=3 {
+            assert_eq!(acquired.recv_timeout(Duration::from_secs(1)), Ok(k), "local write on location {k}");
+        }
+        owner.join().unwrap();
     }
 }

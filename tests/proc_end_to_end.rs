@@ -334,6 +334,62 @@ fn obs_report_attributes_hotspot_contention_to_the_hub() {
 }
 
 #[test]
+fn overlapping_batches_at_four_nodes_finish_and_pair_every_section() {
+    // All-to-all under Scatter at 4 nodes: every owner serves 3 inbound
+    // connections, and every reader's batches to one owner overlap the
+    // other readers' batches on the same locations — the contention the
+    // owner's ascending-order, flush-before-block loop must survive.
+    let spec = ScenarioSpec::new(ScenarioFamily::Shuffle, 16, 1).with_phases(vec![20]);
+    let predicted =
+        cluster_session(4, Policy::Scatter).run(spec.workload()).unwrap().fabric.unwrap().inter_node_bytes;
+    let (done, finished) = std::sync::mpsc::channel();
+    let workload = spec.workload();
+    std::thread::spawn(move || {
+        let machine = ClusterMachine::paper(4);
+        let session = Session::builder()
+            .topology(machine.topology().clone())
+            .policy(Policy::Scatter)
+            .control_threads(0)
+            .observe(ObsConfig::default())
+            .backend(backend(4).with_io_timeout(Duration::from_secs(30)))
+            .build()
+            .unwrap();
+        let _ = done.send(session.run(workload));
+    });
+    let report = finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the 4-node shuffle must finish within 120 s")
+        .unwrap();
+
+    let measured = report.fabric.unwrap().inter_node_bytes;
+    assert!(predicted > 0.0);
+    assert!(
+        (measured - predicted).abs() < 1e-6,
+        "measured {measured} inter-node bytes, ClusterBackend predicts {predicted}"
+    );
+
+    let obs = report.obs.expect("observed runs carry telemetry");
+    assert_eq!(obs.dropped, 0, "every event must survive for the pairing check");
+    let analysis = orwl_obs::analyze::analyze(&obs, usize::MAX);
+    assert_eq!(analysis.unmatched_grants, 0);
+    let mut frames_of: std::collections::BTreeMap<u64, [u32; 3]> = std::collections::BTreeMap::new();
+    for e in &obs.events {
+        let (rseq, slot) = match e.kind {
+            EventKind::LockRequest { rseq, .. } => (rseq, 0),
+            EventKind::LockGrant { rseq, .. } => (rseq, 1),
+            EventKind::LockRelease { rseq, .. } => (rseq, 2),
+            _ => continue,
+        };
+        frames_of.entry(rseq).or_default()[slot] += 1;
+    }
+    assert!(!frames_of.is_empty(), "a 4-node scatter shuffle must cross nodes");
+    for (rseq, counts) in &frames_of {
+        assert_eq!(*counts, [1, 1, 1], "rseq {rseq:#x}: (request, grant, release) events");
+    }
+    assert_eq!(analysis.cross_node_grants, frames_of.len() as u64);
+}
+
+#[test]
 fn mismatched_configurations_are_rejected_before_spawning() {
     // Wrong workload shape.
     let mut program = orwl_core::task::OrwlProgram::new();
