@@ -11,8 +11,18 @@ use orwl_core::prelude::*;
 use orwl_core::stats::{RuntimeStats, StatsSnapshot};
 use orwl_core::{AccessSink, LocationId, TaskId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+/// Serialises the tests that touch the process-global observation state
+/// (the monitor's sink list and the obs recorder list): a `ThreadBackend`
+/// run's lock waits reach whatever recorder another test has installed,
+/// so two such tests running side by side would see each other's events.
+static GLOBAL_OBSERVATION: Mutex<()> = Mutex::new(());
+
+fn exclusive_global_observation() -> MutexGuard<'static, ()> {
+    GLOBAL_OBSERVATION.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct CountingSink(AtomicU64);
 
@@ -54,6 +64,7 @@ fn run(program: OrwlProgram) -> Report {
 
 #[test]
 fn sink_churn_during_active_runs_neither_crashes_nor_leaks_observations() {
+    let _exclusive = exclusive_global_observation();
     // Churn threads register and immediately drop counting sinks while the
     // runtime is mid-run granting locks on every acquisition.
     let stop = Arc::new(AtomicU64::new(0));
@@ -103,6 +114,7 @@ fn sink_churn_during_active_runs_neither_crashes_nor_leaks_observations() {
 
 #[test]
 fn obs_recorder_churn_during_observed_emission_is_clean() {
+    let _exclusive = exclusive_global_observation();
     // Emitter threads fire events through the global gate while other
     // threads install and drop recorders: no panic, and a recorder only
     // holds events stamped between its install and drop.

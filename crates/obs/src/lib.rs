@@ -21,19 +21,18 @@
 //! timeline viewer works for all execution paths.
 
 pub mod analyze;
+pub mod codec;
 pub mod diff;
 pub mod event;
 pub mod export;
 pub mod json;
 pub mod merge;
 pub mod metrics;
-pub mod snapshot;
 pub mod timeseries;
 
 pub use event::{ClockKind, DriftOutcome, EventClass, EventKind, FabricLane, ObsEvent, SolvePhase};
 pub use json::{Json, JsonError, ToJson};
-pub use snapshot::TelemetrySnapshot;
-pub use timeseries::{fold_deltas, DeltaSampler, IntervalStats, LiveAggregator, TelemetryDelta};
+pub use timeseries::{DeltaSampler, IntervalStats, LiveAggregator, TelemetryDelta};
 
 use metrics::{MetricsRegistry, MetricsSnapshot};
 use std::cell::RefCell;

@@ -1,60 +1,62 @@
-//! Live telemetry: interval deltas, the mid-run sampler, and the
-//! per-interval aggregator.
+//! The telemetry stream: interval deltas, the sampler that cuts them,
+//! and the per-interval aggregator.
 //!
-//! Post-mortem telemetry ([`Recorder::finish`] → [`TelemetrySnapshot`])
-//! tells you what a run did only after it ends.  This module is the
-//! streaming counterpart: a [`DeltaSampler`] periodically drains the
-//! recorder's per-thread rings and diffs the cumulative
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry) snapshot, packing
-//! everything new since the previous sample into one sequence-numbered
-//! [`TelemetryDelta`].  Ring drains are destructive and disjoint, so the
-//! delta stream is duplicate-free by construction: every event (and every
-//! counted drop) leaves the process exactly once, either inside a delta or
-//! inside the final snapshot — [`fold_deltas`] reunites the two, deduping
-//! by the recorder-wide event sequence number as a safety net.
+//! A [`DeltaSampler`] drains the recorder's per-thread rings and diffs
+//! the cumulative [`MetricsRegistry`](crate::metrics::MetricsRegistry)
+//! snapshot, packing everything new since the previous sample into one
+//! sequence-numbered [`TelemetryDelta`].  Ring drains are destructive and
+//! disjoint, so the delta stream is duplicate-free by construction: every
+//! event (and every counted drop) leaves the process in exactly one delta.
+//! Metric deltas are increments (counters, histogram counts, sums and
+//! per-bucket counts) or last values (gauges), and an instrument's first
+//! delta carries it even at zero, so summing a stream's deltas rebuilds
+//! [`Recorder::finish`] exactly — which is how
+//! [`merge_run`](crate::merge::merge_run) reassembles each node's track.
+//! A live run cuts one delta per interval plus a final one; a post-run
+//! capture is the same stream with only the final delta.
 //!
 //! Deltas encode to a compact little-endian binary layout, versioned
 //! independently of whatever wire carries them (in `orwl-proc` that is the
-//! v3 `TelemetryDelta` frame).  Metric names are interned into a per-delta
+//! `TelemetryDelta` frame).  Metric names are interned into a per-delta
 //! string table, so a delta with twenty instruments pays each name once:
 //!
 //! ```text
 //! | magic "ODLT" (4) | version u16 | seq u64 | origin_us f64 |
 //! | clock_offset_us f64 | t_end_us f64 | dropped u64 |
 //! | strings u32 × str | counters u32 × (idx u32, delta u64) |
-//! | histograms u32 × (idx u32, count u64, sum u64) | events u32 × event |
+//! | gauges u32 × (idx u32, value f64) |
+//! | histograms u32 × (idx u32, count u64, sum u64, buckets u32 × (log2 u8, n u64)) |
+//! | events u32 × event |
 //! ```
 //!
 //! On the consuming side a [`LiveAggregator`] folds deltas from many
 //! tracks into fixed-width per-interval time series — lock-wait
 //! nanoseconds, remote grants, fabric bytes per lane, ring drops — after
 //! rebasing each delta's sample instant onto the consumer's clock via the
-//! same origin/offset metadata the post-run merge uses.
+//! same origin/offset metadata the merge uses.
 
-use crate::metrics::MetricsSnapshot;
-use crate::snapshot::{
-    put_event, put_str, take_event, Reader, SnapshotError, TelemetrySnapshot, MAX_INSTRUMENTS,
-};
+use crate::codec::{put_event, put_str, take_event, DecodeError, Reader, MAX_INSTRUMENTS};
+use crate::metrics::{HistogramSnapshot, MetricsSnapshot, HISTOGRAM_BUCKETS};
 use crate::{ObsEvent, Recorder};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Magic prefix of a serialized delta.
 pub const DELTA_MAGIC: &[u8; 4] = b"ODLT";
 
-/// Current delta format version.
-pub const DELTA_VERSION: u16 = 1;
+/// Current delta format version (v2 added gauges and histogram buckets).
+pub const DELTA_VERSION: u16 = 2;
 
-/// Hard cap on events one delta may carry (well under the snapshot cap: a
-/// delta holds at most one sampling interval's worth of rings).
+/// Hard cap on events one decoded delta may carry: a malformed length
+/// prefix fails fast instead of allocating.
 const MAX_DELTA_EVENTS: u32 = 1 << 20;
 
 /// Everything a recorder produced during one sampling interval.
 ///
-/// `origin_us`/`clock_offset_us` mirror [`TelemetrySnapshot`]'s clock
-/// metadata so a consumer on another process can rebase `t_end_us` (the
-/// sample instant on the producing recorder's clock) without waiting for
-/// the final upload: see [`TelemetryDelta::consumer_end_us`].
+/// `origin_us`/`clock_offset_us` locate the producer's clock relative to
+/// the consumer's, so a consumer on another process can rebase events and
+/// `t_end_us` (the sample instant on the producing recorder's clock): see
+/// [`TelemetryDelta::consumer_end_us`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryDelta {
     /// Sampler-assigned delta sequence number (0, 1, 2, ... per run);
@@ -63,18 +65,24 @@ pub struct TelemetryDelta {
     /// The recorder's time zero on the producer's process clock.
     pub origin_us: f64,
     /// Estimated `consumer_clock − producer_clock` microseconds (the
-    /// handshake midpoint estimate, identical to the final snapshot's).
+    /// handshake midpoint estimate); adding it to a producer-clock time
+    /// yields a consumer-clock time.
     pub clock_offset_us: f64,
     /// Sample instant in microseconds on the producing recorder's clock.
     pub t_end_us: f64,
-    /// Ring overwrites that happened during this interval (drain resets
-    /// the counters, so consecutive deltas never double-count).
+    /// Ring overwrites that happened during this interval (plus any events
+    /// the producer shed to fit its frame budget).
     pub dropped: u64,
-    /// Counter increments since the previous sample (zero-delta counters
-    /// are omitted).
+    /// Counter increments since the previous sample; an unchanged counter
+    /// is omitted unless this is its first sample.
     pub counters: Vec<(String, u64)>,
-    /// Histogram `(count, sum)` increments since the previous sample.
-    pub hists: Vec<(String, u64, u64)>,
+    /// Gauges that changed (or first appeared) since the previous sample,
+    /// at their current value.
+    pub gauges: Vec<(String, f64)>,
+    /// Histogram increments since the previous sample: sample count, sum
+    /// and per-bucket counts; an unchanged histogram is omitted unless this
+    /// is its first sample.
+    pub hists: Vec<(String, HistogramSnapshot)>,
     /// Events drained from the rings this interval, `(ts_us, seq)`-ordered.
     pub events: Vec<ObsEvent>,
 }
@@ -85,7 +93,11 @@ impl TelemetryDelta {
     /// heartbeat alone proves liveness).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.dropped == 0 && self.counters.is_empty() && self.hists.is_empty()
+        self.events.is_empty()
+            && self.dropped == 0
+            && self.counters.is_empty()
+            && self.gauges.is_empty()
+            && self.hists.is_empty()
     }
 
     /// The sample instant rebased onto the consumer's process clock
@@ -108,9 +120,10 @@ impl TelemetryDelta {
         let mut table: Vec<&str> = Vec::new();
         let mut index: BTreeMap<&str, u32> = BTreeMap::new();
         let counter_idx: Vec<u32> =
-            self.counters.iter().map(|(n, _)| idx_of(&mut table, &mut index, n.as_str())).collect();
-        let hist_idx: Vec<u32> =
-            self.hists.iter().map(|(n, _, _)| idx_of(&mut table, &mut index, n.as_str())).collect();
+            self.counters.iter().map(|(n, _)| idx_of(&mut table, &mut index, n)).collect();
+        let gauge_idx: Vec<u32> =
+            self.gauges.iter().map(|(n, _)| idx_of(&mut table, &mut index, n)).collect();
+        let hist_idx: Vec<u32> = self.hists.iter().map(|(n, _)| idx_of(&mut table, &mut index, n)).collect();
 
         let mut out = Vec::with_capacity(64 + table.len() * 24 + self.events.len() * 48);
         out.extend_from_slice(DELTA_MAGIC);
@@ -125,15 +138,25 @@ impl TelemetryDelta {
             put_str(&mut out, name);
         }
         out.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (k, (_, delta)) in self.counters.iter().enumerate() {
-            out.extend_from_slice(&counter_idx[k].to_le_bytes());
+        for (idx, (_, delta)) in counter_idx.iter().zip(&self.counters) {
+            out.extend_from_slice(&idx.to_le_bytes());
             out.extend_from_slice(&delta.to_le_bytes());
         }
+        out.extend_from_slice(&(self.gauges.len() as u32).to_le_bytes());
+        for (idx, (_, value)) in gauge_idx.iter().zip(&self.gauges) {
+            out.extend_from_slice(&idx.to_le_bytes());
+            out.extend_from_slice(&value.to_le_bytes());
+        }
         out.extend_from_slice(&(self.hists.len() as u32).to_le_bytes());
-        for (k, (_, count, sum)) in self.hists.iter().enumerate() {
-            out.extend_from_slice(&hist_idx[k].to_le_bytes());
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&sum.to_le_bytes());
+        for (idx, (_, h)) in hist_idx.iter().zip(&self.hists) {
+            out.extend_from_slice(&idx.to_le_bytes());
+            out.extend_from_slice(&h.count.to_le_bytes());
+            out.extend_from_slice(&h.sum.to_le_bytes());
+            out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
+            for &(log2, n) in &h.buckets {
+                out.push(log2 as u8);
+                out.extend_from_slice(&n.to_le_bytes());
+            }
         }
         out.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for ev in &self.events {
@@ -142,16 +165,15 @@ impl TelemetryDelta {
         out
     }
 
-    /// Strictly decodes a buffer produced by [`TelemetryDelta::encode`];
-    /// shares the snapshot codec's typed error taxonomy.
-    pub fn decode(buf: &[u8]) -> Result<TelemetryDelta, SnapshotError> {
+    /// Strictly decodes a buffer produced by [`TelemetryDelta::encode`].
+    pub fn decode(buf: &[u8]) -> Result<TelemetryDelta, DecodeError> {
         let mut r = Reader { buf, at: 0 };
         if r.take(4)? != DELTA_MAGIC {
-            return Err(SnapshotError::BadMagic);
+            return Err(DecodeError::BadMagic);
         }
         let version = r.u16()?;
         if version != DELTA_VERSION {
-            return Err(SnapshotError::BadVersion { got: version });
+            return Err(DecodeError::BadVersion { got: version });
         }
         let seq = r.u64()?;
         let origin_us = r.finite_f64("origin_us")?;
@@ -163,20 +185,32 @@ impl TelemetryDelta {
         for _ in 0..n_strings {
             table.push(r.string()?);
         }
-        let resolve = |idx: u32, table: &[String]| -> Result<String, SnapshotError> {
-            table.get(idx as usize).cloned().ok_or(SnapshotError::BadField("string index"))
+        let name = |r: &mut Reader<'_>| -> Result<String, DecodeError> {
+            table.get(r.u32()? as usize).cloned().ok_or(DecodeError::BadField("string index"))
         };
         let mut counters = Vec::new();
         for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "counters")? {
-            let name = resolve(r.u32()?, &table)?;
-            counters.push((name, r.u64()?));
+            counters.push((name(&mut r)?, r.u64()?));
+        }
+        let mut gauges = Vec::new();
+        for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "gauges")? {
+            gauges.push((name(&mut r)?, r.finite_f64("gauge")?));
         }
         let mut hists = Vec::new();
         for _ in 0..r.len_prefix(MAX_INSTRUMENTS, "histograms")? {
-            let name = resolve(r.u32()?, &table)?;
+            let name = name(&mut r)?;
             let count = r.u64()?;
             let sum = r.u64()?;
-            hists.push((name, count, sum));
+            let n_buckets = r.len_prefix(HISTOGRAM_BUCKETS as u32, "buckets")?;
+            let mut buckets = Vec::with_capacity(n_buckets);
+            for _ in 0..n_buckets {
+                let log2 = r.u8()?;
+                if usize::from(log2) >= HISTOGRAM_BUCKETS {
+                    return Err(DecodeError::BadField("bucket log2"));
+                }
+                buckets.push((u32::from(log2), r.u64()?));
+            }
+            hists.push((name, HistogramSnapshot { count, sum, buckets }));
         }
         let n_events = r.len_prefix(MAX_DELTA_EVENTS, "events")?;
         let mut events = Vec::with_capacity(n_events);
@@ -184,21 +218,31 @@ impl TelemetryDelta {
             events.push(take_event(&mut r)?);
         }
         if r.at != r.buf.len() {
-            return Err(SnapshotError::TrailingBytes);
+            return Err(DecodeError::TrailingBytes);
         }
-        Ok(TelemetryDelta { seq, origin_us, clock_offset_us, t_end_us, dropped, counters, hists, events })
+        Ok(TelemetryDelta {
+            seq,
+            origin_us,
+            clock_offset_us,
+            t_end_us,
+            dropped,
+            counters,
+            gauges,
+            hists,
+            events,
+        })
     }
 }
 
 /// The interval-bucketed sampler: drains a [`Recorder`]'s rings and diffs
 /// its cumulative metrics on every [`DeltaSampler::sample`] call.
 ///
-/// The sampler owns no timer — whoever drives the streaming loop calls
-/// `sample()` once per interval.  Successive samples are disjoint: rings
-/// are emptied and drop counters reset by each drain, and metric deltas
-/// are differences of consecutive non-destructive registry snapshots, so
-/// replaying all deltas plus the final [`Recorder::finish`] reconstructs
-/// the run exactly (see [`fold_deltas`]).
+/// The sampler owns no timer — whoever drives the stream calls `sample()`
+/// once per interval and once at the end.  Successive samples are
+/// disjoint: rings are emptied and drop counters reset by each drain, and
+/// metric deltas are differences of consecutive non-destructive registry
+/// snapshots, so the deltas of a run sum to what [`Recorder::finish`]
+/// would have returned.
 #[derive(Debug)]
 pub struct DeltaSampler {
     recorder: Arc<Recorder>,
@@ -227,21 +271,29 @@ impl DeltaSampler {
         let t_end_us = self.recorder.now_us();
         let (events, dropped) = self.recorder.drain_rings();
         let now = self.recorder.metrics().snapshot();
-        let mut counters = Vec::new();
-        for (name, value) in &now.counters {
-            let delta = value - self.last.counter(name).unwrap_or(0);
-            if delta > 0 {
-                counters.push((name.clone(), delta));
-            }
-        }
-        let mut hists = Vec::new();
-        for (name, h) in &now.histograms {
-            let (last_count, last_sum) =
-                self.last.histogram(name).map_or((0, 0), |prev| (prev.count, prev.sum));
-            if h.count > last_count {
-                hists.push((name.clone(), h.count - last_count, h.sum - last_sum));
-            }
-        }
+        let last = &self.last;
+        let counters = now
+            .counters
+            .iter()
+            .filter_map(|(name, value)| match last.counter(name) {
+                Some(prev) if prev == *value => None,
+                prev => Some((name.clone(), value.wrapping_sub(prev.unwrap_or(0)))),
+            })
+            .collect();
+        let gauges = now
+            .gauges
+            .iter()
+            .filter(|(name, value)| last.gauge(name).is_none_or(|prev| prev.to_bits() != value.to_bits()))
+            .cloned()
+            .collect();
+        let hists = now
+            .histograms
+            .iter()
+            .filter_map(|(name, h)| match last.histogram(name) {
+                Some(prev) if prev == h => None,
+                prev => Some((name.clone(), histogram_increment(h, prev))),
+            })
+            .collect();
         self.last = now;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -252,9 +304,27 @@ impl DeltaSampler {
             t_end_us,
             dropped,
             counters,
+            gauges,
             hists,
             events,
         }
+    }
+}
+
+/// `now − prev`, bucket by bucket (a missing `prev` is all zeros),
+/// modulo 2^64 like the instruments themselves.
+fn histogram_increment(now: &HistogramSnapshot, prev: Option<&HistogramSnapshot>) -> HistogramSnapshot {
+    let Some(prev) = prev else { return now.clone() };
+    let before = |log2: u32| prev.buckets.iter().find(|&&(b, _)| b == log2).map_or(0, |&(_, n)| n);
+    HistogramSnapshot {
+        count: now.count.wrapping_sub(prev.count),
+        sum: now.sum.wrapping_sub(prev.sum),
+        buckets: now
+            .buckets
+            .iter()
+            .map(|&(log2, n)| (log2, n.wrapping_sub(before(log2))))
+            .filter(|&(_, n)| n > 0)
+            .collect(),
     }
 }
 
@@ -295,12 +365,12 @@ impl IntervalStats {
                 self.grants += incr;
             }
         }
-        for (name, _count, sum) in &delta.hists {
+        for (name, h) in &delta.hists {
             match name.as_str() {
-                "lock_wait_ns" => self.lock_wait_ns += sum,
-                "fabric_bytes_same_node" => self.fabric_bytes[0] += sum,
-                "fabric_bytes_same_rack" => self.fabric_bytes[1] += sum,
-                "fabric_bytes_cross_rack" => self.fabric_bytes[2] += sum,
+                "lock_wait_ns" => self.lock_wait_ns += h.sum,
+                "fabric_bytes_same_node" => self.fabric_bytes[0] += h.sum,
+                "fabric_bytes_same_rack" => self.fabric_bytes[1] += h.sum,
+                "fabric_bytes_cross_rack" => self.fabric_bytes[2] += h.sum,
                 _ => {}
             }
         }
@@ -395,41 +465,11 @@ impl LiveAggregator {
     }
 }
 
-/// Reunites a run's streamed deltas with its final post-run snapshot:
-/// delta events are merged into `snap.events` (deduped by the
-/// recorder-wide event sequence number, so a delta retransmit or an event
-/// present in both cannot double-count), delta drop counts are added, and
-/// the timeline is re-sorted `(ts_us, seq)`.  Returns how many events the
-/// deltas contributed.
-///
-/// Metrics are left untouched: the snapshot's registry values are
-/// cumulative over the whole run and already subsume every delta.
-pub fn fold_deltas(snap: &mut TelemetrySnapshot, deltas: &[TelemetryDelta]) -> u64 {
-    let mut seen_events: HashSet<u64> = snap.events.iter().map(|e| e.seq).collect();
-    let mut seen_deltas: HashSet<u64> = HashSet::new();
-    let mut added = 0u64;
-    for delta in deltas {
-        if !seen_deltas.insert(delta.seq) {
-            continue;
-        }
-        snap.dropped += delta.dropped;
-        for ev in &delta.events {
-            if seen_events.insert(ev.seq) {
-                snap.events.push(*ev);
-                added += 1;
-            }
-        }
-    }
-    snap.events.sort_by(|a, b| {
-        a.ts_us.partial_cmp(&b.ts_us).unwrap_or(std::cmp::Ordering::Equal).then(a.seq.cmp(&b.seq))
-    });
-    added
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClockKind, EventKind, FabricLane, ObsConfig};
+    use crate::{ClockKind, DriftOutcome, EventKind, FabricLane, ObsConfig};
+    use std::collections::HashSet;
 
     fn recorder(capacity: usize) -> Arc<Recorder> {
         Recorder::new(ClockKind::Simulated, ObsConfig { ring_capacity: capacity, ..Default::default() })
@@ -443,8 +483,12 @@ mod tests {
         rec.record(EventKind::Epoch { epoch: 1, bytes: 128.0 });
         rec.record(EventKind::FabricTransfer { lane: FabricLane::CrossRack, bytes: 512.0 });
         rec.record_lock_wait(3, 50_000);
+        rec.record(EventKind::DriftDecision { outcome: DriftOutcome::Quiet, delta: 0.25 });
         let delta = sampler.sample();
         assert_eq!(delta.seq, 0);
+        assert_eq!(delta.gauges, vec![("drift_delta_last".to_string(), 0.25)]);
+        let wait = &delta.hists.iter().find(|(n, _)| n == "lock_wait_ns").unwrap().1;
+        assert_eq!(wait.buckets, vec![(15, 1)]); // 2^15 <= 50_000 < 2^16
         assert_eq!(delta.clock_offset_us, -42.5);
         assert_eq!(delta.t_end_us, 10_000.0);
         assert!(!delta.is_empty());
@@ -515,26 +559,26 @@ mod tests {
         rec.record(EventKind::Epoch { epoch: 1, bytes: 1.0 });
         let good = sampler.sample().encode();
 
-        assert_eq!(TelemetryDelta::decode(b"JUNK"), Err(SnapshotError::BadMagic));
+        assert_eq!(TelemetryDelta::decode(b"JUNK"), Err(DecodeError::BadMagic));
         let mut wrong_version = good.clone();
         wrong_version[4] = 9;
-        assert_eq!(TelemetryDelta::decode(&wrong_version), Err(SnapshotError::BadVersion { got: 9 }));
+        assert_eq!(TelemetryDelta::decode(&wrong_version), Err(DecodeError::BadVersion { got: 9 }));
         for cut in 0..good.len() {
             let err = TelemetryDelta::decode(&good[..cut]).unwrap_err();
             assert!(
                 matches!(
                     err,
-                    SnapshotError::Truncated
-                        | SnapshotError::BadMagic
-                        | SnapshotError::BadField(_)
-                        | SnapshotError::BadCode { .. }
+                    DecodeError::Truncated
+                        | DecodeError::BadMagic
+                        | DecodeError::BadField(_)
+                        | DecodeError::BadCode { .. }
                 ),
                 "cut at {cut}: {err:?}"
             );
         }
         let mut trailing = good.clone();
         trailing.push(0);
-        assert_eq!(TelemetryDelta::decode(&trailing), Err(SnapshotError::TrailingBytes));
+        assert_eq!(TelemetryDelta::decode(&trailing), Err(DecodeError::TrailingBytes));
 
         // A counter referencing a string-table slot that does not exist.
         let empty = TelemetryDelta {
@@ -544,16 +588,18 @@ mod tests {
             t_end_us: 0.0,
             dropped: 0,
             counters: vec![("x".to_string(), 1)],
+            gauges: vec![],
             hists: vec![],
             events: vec![],
         };
         let mut bytes = empty.encode();
         // The single counter entry sits right after the 1-entry string
         // table and the counter count; point its index out of range.
-        // Tail after the index: delta u64, hists len u32, events len u32.
-        let idx_at = bytes.len() - 4 - 16;
+        // Tail after the index: delta u64, then the gauge, histogram and
+        // event counts (u32 each).
+        let idx_at = bytes.len() - 4 - 8 - 12;
         bytes[idx_at..idx_at + 4].copy_from_slice(&7u32.to_le_bytes());
-        assert_eq!(TelemetryDelta::decode(&bytes), Err(SnapshotError::BadField("string index")));
+        assert_eq!(TelemetryDelta::decode(&bytes), Err(DecodeError::BadField("string index")));
     }
 
     fn synthetic_delta(seq: u64, t_end_us: f64, grants: u64, wait_ns: u64) -> TelemetryDelta {
@@ -564,9 +610,16 @@ mod tests {
             t_end_us,
             dropped: seq, // arbitrary distinct drop counts
             counters: vec![("remote_grants".to_string(), grants)],
+            gauges: vec![],
             hists: vec![
-                ("lock_wait_ns".to_string(), grants, wait_ns),
-                ("fabric_bytes_cross_rack".to_string(), 1, 2_048),
+                (
+                    "lock_wait_ns".to_string(),
+                    HistogramSnapshot { count: grants, sum: wait_ns, buckets: vec![] },
+                ),
+                (
+                    "fabric_bytes_cross_rack".to_string(),
+                    HistogramSnapshot { count: 1, sum: 2_048, buckets: vec![] },
+                ),
             ],
             events: vec![],
         }
@@ -602,38 +655,5 @@ mod tests {
         assert_eq!(totals.deltas, 2);
         assert_eq!(totals.dropped, 1); // seq 0 + seq 1 drop fields
         assert_eq!(agg.totals(2).grants, 7);
-    }
-
-    #[test]
-    fn fold_deltas_reconstructs_the_full_timeline() {
-        // Stream two deltas mid-run, finish at the end: folding the deltas
-        // into the final snapshot must reproduce every event exactly once,
-        // with exact drop accounting, even when a delta is replayed.
-        let rec = recorder(4);
-        let mut sampler = DeltaSampler::new(Arc::clone(&rec), 0.0);
-        for epoch in 0..10 {
-            rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
-        }
-        let d0 = sampler.sample(); // 4 events, 6 dropped
-        for epoch in 10..13 {
-            rec.record(EventKind::Epoch { epoch, bytes: 0.0 });
-        }
-        let d1 = sampler.sample(); // 3 events
-        rec.record(EventKind::Epoch { epoch: 13, bytes: 0.0 });
-        let origin = rec.origin_us() as f64;
-        let mut snap = TelemetrySnapshot::from_telemetry(rec.finish("sim"), origin, 0.0);
-        assert_eq!(snap.events.len(), 1);
-
-        let added = fold_deltas(&mut snap, &[d0.clone(), d1.clone(), d0.clone()]);
-        assert_eq!(added, 7);
-        assert_eq!(snap.events.len(), 8);
-        assert_eq!(snap.dropped, 6);
-        let seqs: HashSet<u64> = snap.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs.len(), 8, "every event exactly once");
-        assert!(snap.events.windows(2).all(|w| w[0].ts_us <= w[1].ts_us));
-        // Folding the same deltas into the folded snapshot adds nothing.
-        let mut again = snap.clone();
-        assert_eq!(fold_deltas(&mut again, &[d0, d1]), 0);
-        assert_eq!(again.events.len(), 8);
     }
 }

@@ -42,7 +42,8 @@ pub struct ObsSpec {
     /// Live-streaming interval in milliseconds: every interval the worker
     /// sends a heartbeat and drains an interval delta to the coordinator.
     /// `0` (the default, and what older documents parse to) disables
-    /// streaming — the run uploads one post-run snapshot only.
+    /// streaming — the worker ships only its final delta, after
+    /// `Shutdown`.
     pub stream_interval_ms: u64,
 }
 

@@ -121,7 +121,8 @@ pub(crate) enum NodeState {
     Ready,
     /// Executing; awaiting `Done`.
     Running,
-    /// Reported `Done`; awaiting its telemetry upload and `Metrics`.
+    /// Reported `Done`; awaiting `Metrics` (its final telemetry delta, if
+    /// observed, comes first).
     Done,
     /// Asked to quiesce for a recovery round; awaiting `QuiesceAck`.
     Quiescing,
@@ -152,8 +153,7 @@ impl NodeState {
         match (self, message) {
             (_, Message::Heartbeat { .. } | Message::TelemetryDelta { .. })
             // A quiesce that raced the worker's natural finish: it still acks.
-            | (S::Quiescing, Message::Done { .. })
-            | (S::Done, Message::TelemetryUpload { .. }) => Ok(self),
+            | (S::Quiescing, Message::Done { .. }) => Ok(self),
             (S::Ready, Message::Ready { .. }) => Ok(S::Running),
             (S::Running, Message::Done { .. }) => Ok(S::Done),
             (S::Quiescing, Message::QuiesceAck { .. }) => Ok(S::Ready),
@@ -682,7 +682,6 @@ mod tests {
             Message::Metrics { node: 3, json: "{}".to_string() },
             Message::Error { message: "boom".to_string() },
             Message::Shutdown,
-            Message::TelemetryUpload { node: 3, snapshot: Vec::new() },
             Message::Heartbeat { node: 3, seq: 0 },
             Message::TelemetryDelta { node: 3, delta: Vec::new() },
             Message::Quiesce { round: 1 },
@@ -700,7 +699,6 @@ mod tests {
             (S::Running, "done") => Some(S::Done),
             (S::Quiescing, "done") => Some(S::Quiescing),
             (S::Quiescing, "quiesce_ack") => Some(S::Ready),
-            (S::Done, "telemetry_upload") => Some(S::Done),
             (S::Done, "metrics") => Some(S::Drained),
             _ => None,
         }
@@ -725,7 +723,9 @@ mod tests {
                 }
             }
         }
-        assert!(rejected > 100, "most (state, frame) pairs are out of state: {rejected}");
+        // 7 states x 17 kinds, of which 19 pairs are transitions: the rest
+        // must all be rejected.
+        assert_eq!(rejected, 100, "most (state, frame) pairs are out of state");
     }
 
     #[test]

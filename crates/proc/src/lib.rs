@@ -61,8 +61,7 @@ use orwl_numasim::workload::PhasedWorkload;
 use orwl_obs::json::Json;
 use orwl_obs::merge::merge_run;
 use orwl_obs::{
-    fold_deltas, ClockKind, EventKind, FabricLane, IntervalStats, LiveAggregator, ObsConfig, Recorder,
-    TelemetryDelta, TelemetrySnapshot,
+    ClockKind, EventKind, FabricLane, IntervalStats, LiveAggregator, ObsConfig, Recorder, TelemetryDelta,
 };
 use orwl_treematch::mapping::Placement;
 use orwl_treematch::policies::Policy;
@@ -71,8 +70,9 @@ use std::time::{Duration, Instant};
 
 /// Configuration of live telemetry: while the run executes, every worker
 /// streams a heartbeat and an interval delta per `interval`, and the
-/// coordinator's readiness loop folds them into a [`LiveAggregator`],
-/// surfaces each arrival through `on_event`, and flags any node silent
+/// coordinator's readiness loop folds the deltas a node ships before its
+/// `Done` into a [`LiveAggregator`], surfaces each arrival through
+/// `on_event`, and flags any node silent
 /// for more than `straggler_intervals` intervals as a straggler — the
 /// flag is one of the loop's deadlines, so it fires on time, *before*
 /// the io timeout turns the silence into a hard failure.
@@ -139,8 +139,9 @@ pub enum LiveEvent {
         /// The worker's beat counter.
         seq: u64,
     },
-    /// A worker's interval delta arrived and was folded into the
-    /// aggregator.
+    /// A running worker's interval delta arrived and was folded into the
+    /// aggregator.  The deltas a node ships after its `Done` — its final
+    /// delta above all — feed only the merged timeline.
     Delta {
         /// The reporting node.
         node: usize,
@@ -174,12 +175,14 @@ pub enum LiveEvent {
 
 /// The coordinator-side live monitor: consumes streaming frames from the
 /// readiness loop, rebases deltas onto the coordinator clock (each delta
-/// carries its track's NTP-midpoint offset), aggregates them, tracks
-/// per-node liveness and keeps every delta for the post-run fold.
+/// carries its track's NTP-midpoint offset), aggregates them and tracks
+/// per-node liveness.
 struct LiveMonitor<'a> {
     cfg: &'a LiveConfig,
     aggregator: LiveAggregator,
-    deltas: Vec<Vec<TelemetryDelta>>,
+    /// Interval deltas seen: the deltas nodes shipped before their `Done`,
+    /// a subset of what `Run` collects for the merge.
+    interval_deltas: u64,
     last_beat: Vec<Instant>,
     flagged: Vec<bool>,
     heartbeats: u64,
@@ -192,7 +195,7 @@ impl<'a> LiveMonitor<'a> {
         LiveMonitor {
             cfg,
             aggregator: LiveAggregator::new(cfg.interval.as_secs_f64().max(1e-3) * 1e6),
-            deltas: vec![Vec::new(); n_nodes],
+            interval_deltas: 0,
             last_beat: vec![Instant::now(); n_nodes],
             flagged: vec![false; n_nodes],
             heartbeats: 0,
@@ -216,16 +219,13 @@ impl<'a> LiveMonitor<'a> {
         self.emit(&LiveEvent::Heartbeat { node, seq });
     }
 
-    fn delta(&mut self, node: usize, bytes: &[u8]) -> Result<(), String> {
-        let delta = TelemetryDelta::decode(bytes).map_err(|e| format!("bad telemetry delta: {e}"))?;
-        self.delta_bytes += bytes.len() as u64;
+    fn delta(&mut self, node: usize, delta: &TelemetryDelta, bytes: usize) {
+        self.interval_deltas += 1;
+        self.delta_bytes += bytes as u64;
         // Workers merge onto track node+1 (track 0 is the coordinator);
         // the aggregator's series use the same numbering.
-        self.aggregator.ingest(node as u32 + 1, &delta);
-        let stats = IntervalStats::of_delta(&delta);
-        self.deltas[node].push(delta);
-        self.emit(&LiveEvent::Delta { node, bytes: bytes.len(), stats });
-        Ok(())
+        self.aggregator.ingest(node as u32 + 1, delta);
+        self.emit(&LiveEvent::Delta { node, bytes, stats: IntervalStats::of_delta(delta) });
     }
 
     fn done(&mut self, node: usize) {
@@ -270,7 +270,7 @@ impl<'a> LiveMonitor<'a> {
     fn record_summary(&self, recorder: &Recorder, recovery: Option<&RecoveryState>) {
         let metrics = recorder.metrics();
         metrics.counter("live.heartbeats").add(self.heartbeats);
-        metrics.counter("live.deltas").add(self.deltas.iter().map(|d| d.len() as u64).sum());
+        metrics.counter("live.deltas").add(self.interval_deltas);
         metrics.counter("live.delta_bytes").add(self.delta_bytes);
         metrics.counter("live.stragglers_flagged").add(self.stragglers_flagged);
         metrics.counter("live.duplicate_deltas").add(self.aggregator.duplicates());
@@ -355,9 +355,9 @@ struct RecoveryState {
 }
 
 /// What a completed control protocol hands back: the wall-clocked
-/// execution span, one metrics document per worker, (observed runs
-/// only) the per-node telemetry snapshots, and the recovery summary.
-type ProtocolOutcome = (Duration, Vec<WorkerMetrics>, Vec<(u32, TelemetrySnapshot)>, RecoverySummary);
+/// execution span, one metrics document per worker, each node's telemetry
+/// deltas (empty unless observed), and the recovery summary.
+type ProtocolOutcome = (Duration, Vec<WorkerMetrics>, Vec<Vec<TelemetryDelta>>, RecoverySummary);
 
 /// The multi-process cluster executor as a `Session` backend: one OS
 /// process per node of the wrapped [`ClusterMachine`], the ORWL lock
@@ -560,7 +560,7 @@ impl ProcBackend {
             monitor: None,
             recovery,
             last_activity: vec![Instant::now(); n_nodes],
-            uploads: Vec::new(),
+            deltas: vec![Vec::new(); n_nodes],
             metrics: Vec::new(),
         };
         run.pool.accept_controls()?;
@@ -584,34 +584,23 @@ impl ProcBackend {
         run.monitor = live.map(|cfg| LiveMonitor::new(n_nodes, cfg));
         run.drive(NodeState::Done)?;
         let elapsed = started.elapsed();
-        // Shutdown is broadcast *before* collecting telemetry: once every
-        // node has reported Done, every section anywhere has been granted
-        // and released, so a worker that drains its recorder after seeing
+        // Shutdown is broadcast *before* the final deltas: once every node
+        // has reported Done, every section anywhere has been granted and
+        // released, so a worker that drains its recorder after seeing
         // Shutdown misses no owner-side events.  (Draining at Done would
-        // race a slow peer's read storm against the drain.)  A lost node
-        // uploads nothing: its telemetry died with it.
+        // race a slow peer's read storm against the drain.)  One
+        // connection keeps a node's frames in order, so its final delta is
+        // the last of its stream; a lost node's stream simply ends at its
+        // last shipped interval.
         run.pool.broadcast(&Message::Shutdown)?;
         run.drive(NodeState::Drained)?;
-        let Run { mut uploads, mut metrics, monitor, recovery, .. } = run;
-        uploads.sort_by_key(|(from, _)| *from);
+        let Run { deltas, mut metrics, monitor, recovery, .. } = run;
         metrics.sort_by_key(|m| m.node);
-        if let Some(monitor) = &monitor {
-            // Mid-run deltas drained events the final snapshots no longer
-            // hold: fold them back so the merged timeline is identical to
-            // a non-streaming observed run (delta events dedup by seq;
-            // metric state needs no fold — registry snapshots are
-            // cumulative, so the final snapshot subsumes every delta).
-            // A worker stops streaming before it uploads, and one
-            // connection keeps its frames in order, so every delta is in.
-            for (from, snap) in &mut uploads {
-                fold_deltas(snap, &monitor.deltas[*from as usize]);
-            }
-            if let Some(recorder) = recorder {
-                monitor.record_summary(recorder, recovery.as_ref());
-            }
+        if let (Some(monitor), Some(recorder)) = (&monitor, recorder) {
+            monitor.record_summary(recorder, recovery.as_ref());
         }
         let summary = RecoverySummary { node_reshards: recovery.map_or(0, |state| state.down.len() as u64) };
-        Ok((elapsed, metrics, uploads, summary))
+        Ok((elapsed, metrics, deltas, summary))
     }
 
     /// Tree hops a byte pays on each fabric lane of this machine, probed
@@ -636,7 +625,8 @@ impl ProcBackend {
 
 /// The coordinator's side of one run, fed by the pool's readiness loop:
 /// per-node silence clocks, the live monitor (live runs), the recovery
-/// state (recovery runs) and what the workers ship home.
+/// state (recovery runs) and what the workers ship home: each node's
+/// telemetry deltas in arrival order, and its metrics document.
 struct Run<'a> {
     backend: &'a ProcBackend,
     pool: WorkerPool,
@@ -645,7 +635,7 @@ struct Run<'a> {
     monitor: Option<LiveMonitor<'a>>,
     recovery: Option<RecoveryState>,
     last_activity: Vec<Instant>,
-    uploads: Vec<(u32, TelemetrySnapshot)>,
+    deltas: Vec<Vec<TelemetryDelta>>,
     metrics: Vec<WorkerMetrics>,
 }
 
@@ -678,11 +668,11 @@ impl Run<'_> {
 
     /// Nodes expected to heartbeat: those between `Start` and `Done`.
     fn watched(&self) -> Vec<bool> {
-        (0..self.pool.n_nodes())
-            .map(|n| {
-                matches!(self.pool.state(n), NodeState::Ready | NodeState::Running | NodeState::Quiescing)
-            })
-            .collect()
+        (0..self.pool.n_nodes()).map(|n| self.is_watched(n)).collect()
+    }
+
+    fn is_watched(&self, node: usize) -> bool {
+        matches!(self.pool.state(node), NodeState::Ready | NodeState::Running | NodeState::Quiescing)
     }
 
     /// The nearest deadline, or `None` once every live node is settled
@@ -730,10 +720,17 @@ impl Run<'_> {
                     monitor.heartbeat(node, seq);
                 }
             }
-            Message::TelemetryDelta { delta, .. } => {
-                if let Some(monitor) = self.monitor.as_mut() {
-                    monitor.delta(node, &delta).map_err(|e| self.pool.fail(Some(node), e))?;
+            Message::TelemetryDelta { delta: bytes, .. } => {
+                let delta = TelemetryDelta::decode(&bytes)
+                    .map_err(|e| self.pool.fail(Some(node), format!("bad telemetry delta: {e}")))?;
+                // Only a running node's deltas are live intervals; the
+                // final one, shipped after Shutdown, closes the stream.
+                if self.is_watched(node) {
+                    if let Some(monitor) = self.monitor.as_mut() {
+                        monitor.delta(node, &delta, bytes.len());
+                    }
                 }
+                self.deltas[node].push(delta);
             }
             Message::Done { .. } => {
                 if let Some(monitor) = self.monitor.as_mut() {
@@ -748,10 +745,6 @@ impl Run<'_> {
                         .fail(Some(node), format!("quiesce_ack for round {acked}, expected round {round}")));
                 }
             }
-            Message::TelemetryUpload { node: from, snapshot } => match TelemetrySnapshot::decode(&snapshot) {
-                Ok(snap) => self.uploads.push((from, snap)),
-                Err(e) => return Err(self.pool.fail(Some(node), format!("bad telemetry snapshot: {e}"))),
-            },
             Message::Metrics { json, .. } => {
                 let parsed = Json::parse(&json)
                     .map_err(|e| format!("metrics document is not valid JSON: {e}"))
@@ -952,7 +945,7 @@ impl ExecutionBackend for ProcBackend {
         }
         let pool = WorkerPool::spawn(cluster.n_nodes(), &self.worker_args, &worker_env, self.io_timeout)
             .map_err(|e| OrwlError::WorkerFailed { node: 0, detail: format!("spawning workers: {e}") })?;
-        let (elapsed, metrics, uploads, recovery) = self
+        let (elapsed, metrics, deltas, recovery) = self
             .run_protocol(pool, &workload, &cp.node_of_task, config.observe.as_ref(), recorder.as_deref())
             .map_err(|f| OrwlError::WorkerFailed { node: f.node, detail: f.detail })?;
 
@@ -967,8 +960,8 @@ impl ExecutionBackend for ProcBackend {
 
         if let Some(obs) = recorder.as_ref() {
             // The coordinator's own track carries the run-level fabric
-            // summary; per-section lock telemetry now arrives from the
-            // workers as first-class events in the uploads.
+            // summary; per-section lock telemetry arrives from the
+            // workers as first-class events in their deltas.
             for (lane, bytes) in [
                 (FabricLane::SameNode, same_node_bytes_model),
                 (FabricLane::SameRack, same_rack_bytes as f64),
@@ -1017,7 +1010,7 @@ impl ExecutionBackend for ProcBackend {
             }),
             obs: recorder.map(|r| {
                 let origin_us = r.origin_us() as f64;
-                merge_run(r.finish(self.name()), origin_us, &uploads)
+                merge_run(r.finish(self.name()), origin_us, &deltas)
             }),
         })
     }

@@ -32,14 +32,18 @@ pub const MAGIC: [u8; 4] = *b"ORWL";
 
 /// Protocol version carried in every frame header.
 ///
-/// v2 added [`Message::TelemetryUpload`]; v3 added the live-streaming
-/// kinds [`Message::Heartbeat`] and [`Message::TelemetryDelta`]; v4
-/// added the recovery kinds [`Message::Quiesce`],
-/// [`Message::QuiesceAck`], [`Message::ReAssignment`] and
-/// [`Message::Resume`].  Every older frame is still decoded
-/// byte-for-byte (released kinds' layouts are frozen), so a v4 peer
-/// accepts any version in `MIN_VERSION..=VERSION`.
-pub const VERSION: u16 = 4;
+/// v2 added a post-run telemetry upload (kind 11); v3 added the
+/// live-streaming kinds [`Message::Heartbeat`] and
+/// [`Message::TelemetryDelta`]; v4 added the recovery kinds
+/// [`Message::Quiesce`], [`Message::QuiesceAck`],
+/// [`Message::ReAssignment`] and [`Message::Resume`].  v5 retires kind
+/// 11, `TelemetryUpload`: telemetry travels only as
+/// [`Message::TelemetryDelta`] frames, the last one sent after
+/// `Shutdown`, and a kind-11 frame is [`WireError::UnknownKind`] under
+/// every version.  Every other older frame is still decoded byte-for-byte
+/// (released kinds' layouts are frozen), so a v5 peer accepts any version
+/// in `MIN_VERSION..=VERSION`.
+pub const VERSION: u16 = 5;
 
 /// Oldest protocol version this codec still decodes.
 pub const MIN_VERSION: u16 = 1;
@@ -54,16 +58,10 @@ pub const MAX_DATA: usize = 1 << 20;
 /// fields, with headroom for the JSON-bearing kinds.
 pub const MAX_PAYLOAD: usize = MAX_DATA + 64;
 
-/// Hard cap on a telemetry snapshot carried by a
-/// [`Message::TelemetryUpload`] — event rings are bigger than any single
-/// location buffer, so this kind gets its own budget.
-pub const MAX_SNAPSHOT: usize = 8 << 20;
-
-/// Hard cap on an encoded interval delta carried by a
-/// [`Message::TelemetryDelta`].  One interval drains at most one ring's
-/// worth of events, so deltas are far smaller than final snapshots, but
-/// the cap stays generous: a blown budget mid-run would kill the stream.
-pub const MAX_DELTA: usize = 4 << 20;
+/// Hard cap on an encoded delta carried by a [`Message::TelemetryDelta`]
+/// — event rings are bigger than any single location buffer, so this kind
+/// gets its own budget.  Workers cap each delta's events to stay under it.
+pub const MAX_DELTA: usize = 8 << 20;
 
 /// Access mode of a remote lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,7 +100,7 @@ const KIND_DONE: u8 = 7;
 const KIND_METRICS: u8 = 8;
 const KIND_ERROR: u8 = 9;
 const KIND_SHUTDOWN: u8 = 10;
-const KIND_TELEMETRY_UPLOAD: u8 = 11; // v2
+// Kind 11 (v2–v4) is retired in v5.
 const KIND_HEARTBEAT: u8 = 12; // v3
 const KIND_TELEMETRY_DELTA: u8 = 13; // v3
 const KIND_QUIESCE: u8 = 14; // v4
@@ -180,18 +178,6 @@ pub enum Message {
     },
     /// Coordinator → worker: every worker is done; exit now.
     Shutdown,
-    /// Worker → coordinator (v2): the worker's drained telemetry, sent
-    /// after `Shutdown` (once every node's sections are served) when the
-    /// assignment asked for observation.  The snapshot bytes are the
-    /// `orwl-obs` binary
-    /// [`TelemetrySnapshot`](orwl_obs::TelemetrySnapshot) encoding —
-    /// opaque at this layer.
-    TelemetryUpload {
-        /// The worker's node index.
-        node: u32,
-        /// The encoded snapshot.
-        snapshot: Vec<u8>,
-    },
     /// Worker → coordinator (v3): a liveness beacon sent once per
     /// streaming interval while the run executes.  The coordinator's
     /// monitor flags a node as a straggler when beats stop arriving.
@@ -204,9 +190,9 @@ pub enum Message {
     /// Worker → coordinator (v3): one interval's drained telemetry — the
     /// `orwl-obs` binary
     /// [`TelemetryDelta`](orwl_obs::TelemetryDelta) encoding, opaque at
-    /// this layer.  Sent alongside heartbeats while the run executes;
-    /// the final post-run [`Message::TelemetryUpload`] subsumes the
-    /// metric state, and delta events are deduplicated by sequence.
+    /// this layer.  Sent alongside heartbeats while a live run executes,
+    /// and once more after `Shutdown` (once every node's sections are
+    /// served) on every observed run.
     TelemetryDelta {
         /// The worker's node index.
         node: u32,
@@ -256,7 +242,6 @@ impl Message {
             Message::Metrics { .. } => KIND_METRICS,
             Message::Error { .. } => KIND_ERROR,
             Message::Shutdown => KIND_SHUTDOWN,
-            Message::TelemetryUpload { .. } => KIND_TELEMETRY_UPLOAD,
             Message::Heartbeat { .. } => KIND_HEARTBEAT,
             Message::TelemetryDelta { .. } => KIND_TELEMETRY_DELTA,
             Message::Quiesce { .. } => KIND_QUIESCE,
@@ -281,7 +266,6 @@ impl Message {
             Message::Metrics { .. } => "metrics",
             Message::Error { .. } => "error",
             Message::Shutdown => "shutdown",
-            Message::TelemetryUpload { .. } => "telemetry_upload",
             Message::Heartbeat { .. } => "heartbeat",
             Message::TelemetryDelta { .. } => "telemetry_delta",
             Message::Quiesce { .. } => "quiesce",
@@ -291,11 +275,9 @@ impl Message {
         }
     }
 
-    /// Payload budget of one kind; telemetry snapshots and interval
-    /// deltas get their own.
+    /// Payload budget of one kind; telemetry deltas get their own.
     fn max_payload_of(kind: u8) -> usize {
         match kind {
-            KIND_TELEMETRY_UPLOAD => MAX_SNAPSHOT + 16,
             KIND_TELEMETRY_DELTA => MAX_DELTA + 16,
             _ => MAX_PAYLOAD,
         }
@@ -305,8 +287,8 @@ impl Message {
     ///
     /// # Panics
     /// If the payload would exceed its kind's cap ([`MAX_PAYLOAD`], or
-    /// [`MAX_SNAPSHOT`] + fixed fields for a telemetry upload); callers
-    /// cap grant data at [`MAX_DATA`] and snapshots at [`MAX_SNAPSHOT`].
+    /// [`MAX_DELTA`] + fixed fields for a telemetry delta); callers cap
+    /// grant data at [`MAX_DATA`] and deltas at [`MAX_DELTA`].
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -349,11 +331,6 @@ impl Message {
             Message::Metrics { node, json } => {
                 out.extend_from_slice(&node.to_le_bytes());
                 out.extend_from_slice(json.as_bytes());
-            }
-            Message::TelemetryUpload { node, snapshot } => {
-                assert!(snapshot.len() <= MAX_SNAPSHOT, "snapshot over MAX_SNAPSHOT");
-                out.extend_from_slice(&node.to_le_bytes());
-                out.extend_from_slice(snapshot);
             }
             Message::Heartbeat { node, seq } => {
                 out.extend_from_slice(&node.to_le_bytes());
@@ -506,10 +483,8 @@ fn take_string(payload: &[u8], at: usize, kind: u8) -> Result<String, WireError>
 fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, WireError> {
     // Kinds introduced after v1 are unknown inside an older frame: a peer
     // must not emit them under a version that predates them, and decoding
-    // them anyway would mask that bug.
-    if kind >= KIND_TELEMETRY_UPLOAD && version < 2 {
-        return Err(WireError::UnknownKind(kind));
-    }
+    // them anyway would mask that bug.  The retired kind 11 falls through
+    // to `UnknownKind` under every version.
     if kind >= KIND_HEARTBEAT && version < 3 {
         return Err(WireError::UnknownKind(kind));
     }
@@ -544,10 +519,6 @@ fn decode_payload(version: u16, kind: u8, payload: &[u8]) -> Result<Message, Wir
         }
         KIND_ERROR => Message::Error { message: take_string(payload, 0, kind)? },
         KIND_SHUTDOWN => Message::Shutdown,
-        KIND_TELEMETRY_UPLOAD => Message::TelemetryUpload {
-            node: take_u32(payload, 0, kind)?,
-            snapshot: payload.get(4..).ok_or(WireError::Truncated { kind })?.to_vec(),
-        },
         KIND_HEARTBEAT => {
             Message::Heartbeat { node: take_u32(payload, 0, kind)?, seq: take_u64(payload, 4, kind)? }
         }
@@ -683,8 +654,6 @@ mod tests {
             Message::Metrics { node: 3, json: "{\"node\":3}".to_string() },
             Message::Error { message: "worker 2 panicked".to_string() },
             Message::Shutdown,
-            Message::TelemetryUpload { node: 1, snapshot: vec![0x4f, 0x53, 0x4e, 0x50] },
-            Message::TelemetryUpload { node: 0, snapshot: Vec::new() },
             Message::Heartbeat { node: 2, seq: 0 },
             Message::Heartbeat { node: 0, seq: u64::MAX },
             Message::TelemetryDelta { node: 1, delta: vec![0x4f, 0x44, 0x4c, 0x54] },
@@ -699,23 +668,19 @@ mod tests {
         }
     }
 
-    /// The exact bytes of a telemetry-upload frame, pinned so the layout
-    /// can never drift silently: magic, version LE, kind 11, payload
-    /// length LE, node LE, snapshot bytes.
+    /// Kind 11, the post-run upload of v2–v4, is retired: a frame of
+    /// that kind is a typed failure under every version, v5 included.
     #[test]
-    fn telemetry_upload_frame_bytes_are_pinned() {
-        let frame = Message::TelemetryUpload { node: 3, snapshot: vec![0xAA, 0xBB] }.encode();
-        assert_eq!(
-            frame,
-            vec![
-                b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
-                0x0B, // kind 11
-                0x06, 0x00, 0x00, 0x00, // payload length 6
-                0x03, 0x00, 0x00, 0x00, // node 3
-                0xAA, 0xBB, // snapshot
-            ]
-        );
+    fn a_retired_upload_frame_is_a_typed_failure_at_every_version() {
+        for version in MIN_VERSION..=VERSION {
+            let mut frame = Vec::new();
+            frame.extend_from_slice(&MAGIC);
+            frame.extend_from_slice(&version.to_le_bytes());
+            frame.push(11);
+            frame.extend_from_slice(&6u32.to_le_bytes());
+            frame.extend_from_slice(&[0x03, 0x00, 0x00, 0x00, 0xAA, 0xBB]); // node 3, two payload bytes
+            assert_eq!(decode_frame(&frame), Err(WireError::UnknownKind(11)), "v{version}");
+        }
     }
 
     /// The exact bytes of the v3 streaming frames, pinned the same way.
@@ -726,7 +691,7 @@ mod tests {
             beat,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x0C, // kind 12
                 0x0C, 0x00, 0x00, 0x00, // payload length 12
                 0x02, 0x00, 0x00, 0x00, // node 2
@@ -739,7 +704,7 @@ mod tests {
             delta,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x0D, // kind 13
                 0x07, 0x00, 0x00, 0x00, // payload length 7
                 0x01, 0x00, 0x00, 0x00, // node 1
@@ -756,7 +721,7 @@ mod tests {
             quiesce,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x0E, // kind 14
                 0x04, 0x00, 0x00, 0x00, // payload length 4
                 0x01, 0x00, 0x00, 0x00, // round 1
@@ -768,7 +733,7 @@ mod tests {
             ack,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x0F, // kind 15
                 0x08, 0x00, 0x00, 0x00, // payload length 8
                 0x03, 0x00, 0x00, 0x00, // node 3
@@ -781,7 +746,7 @@ mod tests {
             resume,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x11, // kind 17
                 0x04, 0x00, 0x00, 0x00, // payload length 4
                 0x02, 0x00, 0x00, 0x00, // round 2
@@ -793,7 +758,7 @@ mod tests {
             reassign,
             vec![
                 b'O', b'R', b'W', b'L', // magic
-                0x04, 0x00, // version 4
+                0x05, 0x00, // version 5
                 0x10, // kind 16
                 0x02, 0x00, 0x00, 0x00, // payload length 2
                 b'{', b'}', // document
@@ -803,7 +768,7 @@ mod tests {
 
     #[test]
     fn v1_frames_still_decode() {
-        // A v3 codec must accept every v1 frame unchanged: patch the
+        // A current codec must accept every v1 frame unchanged: patch the
         // version field of a freshly encoded v1-era kind down to 1.
         for message in [
             Message::Hello { node: 4 },
@@ -815,23 +780,13 @@ mod tests {
             frame[4..6].copy_from_slice(&1u16.to_le_bytes());
             assert_eq!(decode_frame(&frame).unwrap(), message, "v1 frame of {}", message.name());
         }
-
-        // ... but a v2-only kind inside a v1 frame is a protocol bug, not
-        // a message.
-        let mut frame = Message::TelemetryUpload { node: 0, snapshot: vec![1] }.encode();
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(decode_frame(&frame), Err(WireError::UnknownKind(11))));
     }
 
     #[test]
     fn v2_frames_still_decode() {
-        // A v3 reader must accept every v2 frame unchanged, including the
-        // v2-era telemetry upload.
-        for message in [
-            Message::TelemetryUpload { node: 1, snapshot: vec![0xAA, 0xBB, 0xCC] },
-            Message::Metrics { node: 1, json: "{}".to_string() },
-            Message::Done { node: 1 },
-        ] {
+        // A current reader must accept every v2 frame of a kind it still
+        // speaks unchanged.
+        for message in [Message::Metrics { node: 1, json: "{}".to_string() }, Message::Done { node: 1 }] {
             let mut frame = message.encode();
             frame[4..6].copy_from_slice(&2u16.to_le_bytes());
             assert_eq!(decode_frame(&frame).unwrap(), message, "v2 frame of {}", message.name());
@@ -852,12 +807,11 @@ mod tests {
 
     #[test]
     fn v3_frames_still_decode() {
-        // A v4 reader must accept every v3 frame unchanged, including the
+        // A current reader must accept every v3 frame unchanged, including the
         // v3-era streaming kinds.
         for message in [
             Message::Heartbeat { node: 1, seq: 9 },
             Message::TelemetryDelta { node: 1, delta: vec![0xAA] },
-            Message::TelemetryUpload { node: 1, snapshot: vec![0xBB] },
             Message::Done { node: 1 },
         ] {
             let mut frame = message.encode();
@@ -887,18 +841,18 @@ mod tests {
     }
 
     #[test]
-    fn older_peers_reject_v4_frames_with_a_typed_error() {
-        // An old binary (max version 1, 2 or 3) fed a current frame must
-        // fail fast with BadVersion — never hang waiting for more bytes,
-        // never panic, never mis-parse.
-        for max_version in [1u16, 2, 3] {
+    fn older_peers_reject_current_frames_with_a_typed_error() {
+        // An old binary (max version 1 to 4) fed a current frame must fail
+        // fast with BadVersion — never hang waiting for more bytes, never
+        // panic, never mis-parse.
+        for max_version in [1u16, 2, 3, 4] {
             let mut reader = FrameReader::with_max_version(max_version);
             reader.push(&Message::Heartbeat { node: 2, seq: 5 }.encode());
-            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 4 }), "max version {max_version}");
+            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 5 }), "max version {max_version}");
 
             let mut reader = FrameReader::with_max_version(max_version);
             reader.push(&Message::Quiesce { round: 1 }.encode());
-            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 4 }), "max version {max_version}");
+            assert_eq!(reader.try_next(), Err(WireError::BadVersion { got: 5 }), "max version {max_version}");
         }
 
         // A frame at the peer's own version still flows through.
@@ -908,27 +862,11 @@ mod tests {
         reader.push(&frame);
         assert_eq!(reader.try_next(), Ok(Some(Message::Hello { node: 2 })));
 
-        let mut reader = FrameReader::with_max_version(2);
-        let mut frame = Message::TelemetryUpload { node: 2, snapshot: vec![7; 32] }.encode();
-        frame[4..6].copy_from_slice(&2u16.to_le_bytes());
+        let mut reader = FrameReader::with_max_version(4);
+        let mut frame = Message::TelemetryDelta { node: 2, delta: vec![7; 32] }.encode();
+        frame[4..6].copy_from_slice(&4u16.to_le_bytes());
         reader.push(&frame);
-        assert!(matches!(reader.try_next(), Ok(Some(Message::TelemetryUpload { .. }))));
-    }
-
-    #[test]
-    fn snapshot_budget_is_enforced_both_ways() {
-        // Encode refuses oversize snapshots...
-        let caught = std::panic::catch_unwind(|| {
-            Message::TelemetryUpload { node: 0, snapshot: vec![0; MAX_SNAPSHOT + 1] }.encode()
-        });
-        assert!(caught.is_err());
-        // ...and decode refuses oversize declared lengths for kind 11,
-        // while still allowing it to exceed the ordinary MAX_PAYLOAD.
-        let mut over = Message::TelemetryUpload { node: 0, snapshot: Vec::new() }.encode();
-        over[7..11].copy_from_slice(&((MAX_SNAPSHOT + 17) as u32).to_le_bytes());
-        assert!(matches!(decode_frame(&over), Err(WireError::PayloadTooLarge { .. })));
-        let big = Message::TelemetryUpload { node: 0, snapshot: vec![5; MAX_PAYLOAD + 1] }.encode();
-        assert!(matches!(decode_frame(&big), Ok(Message::TelemetryUpload { .. })));
+        assert!(matches!(reader.try_next(), Ok(Some(Message::TelemetryDelta { .. }))));
     }
 
     #[test]
@@ -1062,7 +1000,7 @@ mod tests {
         data: Vec<u8>,
     ) -> Message {
         let text: String = text_bytes.iter().map(|&b| char::from(b % 94 + 32)).collect();
-        match selector % 18 {
+        match selector % 17 {
             0 => Message::Hello { node: a as u32 },
             1 => Message::Assignment { json: text },
             2 => Message::Ready { node: b as u32 },
@@ -1079,12 +1017,11 @@ mod tests {
             8 => Message::Metrics { node: b as u32, json: text },
             9 => Message::Error { message: text },
             10 => Message::Shutdown,
-            11 => Message::TelemetryUpload { node: a as u32, snapshot: data },
-            12 => Message::Heartbeat { node: a as u32, seq: b },
-            13 => Message::TelemetryDelta { node: b as u32, delta: data },
-            14 => Message::Quiesce { round: a as u32 },
-            15 => Message::QuiesceAck { node: a as u32, round: b as u32 },
-            16 => Message::ReAssignment { json: text },
+            11 => Message::Heartbeat { node: a as u32, seq: b },
+            12 => Message::TelemetryDelta { node: b as u32, delta: data },
+            13 => Message::Quiesce { round: a as u32 },
+            14 => Message::QuiesceAck { node: a as u32, round: b as u32 },
+            15 => Message::ReAssignment { json: text },
             _ => Message::Resume { round: b as u32 },
         }
     }
@@ -1094,7 +1031,7 @@ mod tests {
 
         #[test]
         fn any_message_roundtrips(
-            selector in 0usize..18,
+            selector in 0usize..17,
             a in 0u64..u64::MAX,
             b in 0u64..u64::MAX,
             small in 0u8..255,
@@ -1108,7 +1045,7 @@ mod tests {
 
         #[test]
         fn split_reads_reassemble_any_stream(
-            selectors in proptest::collection::vec(0usize..18, 1..6),
+            selectors in proptest::collection::vec(0usize..17, 1..6),
             a in 0u64..u64::MAX,
             b in 0u64..1_000_000,
             small in 0u8..255,

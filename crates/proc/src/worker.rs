@@ -11,7 +11,7 @@
 //! `Ready` → `Start` → run the local tasks through a real
 //! `orwl_core` session (one-shot ORWL handles for local sections, the
 //! wire protocol for remote ones) → `Done` → keep serving peers until
-//! `Shutdown` → drain and upload telemetry (observed runs) → report
+//! `Shutdown` → ship the final telemetry delta (observed runs) → report
 //! [`WorkerMetrics`] → exit.
 //!
 //! The control socket is held for the worker's whole life, and its
@@ -73,25 +73,20 @@ use orwl_core::request::AccessMode;
 use orwl_core::session::{Session, ThreadBackend};
 use orwl_core::task::{LocationLink, OrwlProgram, TaskSpec};
 use orwl_obs::json::Json;
-use orwl_obs::{ClockKind, DeltaSampler, EventKind, ObsEvent, Recorder, RunTelemetry, TelemetrySnapshot};
+use orwl_obs::{ClockKind, DeltaSampler, EventKind, Recorder, TelemetryDelta};
 use orwl_topo::binding::RecordingBinder;
 use orwl_topo::object::ObjectType;
 use orwl_topo::topology::{LevelSpec, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
-/// Events kept in an uploaded snapshot (newest win; the remainder joins
-/// the drop counter).  Keeps the upload well under the wire's
-/// `MAX_SNAPSHOT` budget.
-const MAX_UPLOAD_EVENTS: usize = 100_000;
-
-/// Events kept in one streamed interval delta (newest win; the remainder
-/// joins the delta's drop counter).  Keeps every delta well under the
-/// wire's `MAX_DELTA` budget however bursty the interval was.
-const MAX_DELTA_EVENTS: usize = 50_000;
+/// Events kept in one telemetry delta (newest win; the remainder joins
+/// the delta's drop counter).  Keeps every delta under the wire's
+/// `MAX_DELTA` budget however bursty the interval was.
+const MAX_DELTA_EVENTS: usize = 100_000;
 
 /// The owned-locations map, shared by the serving threads, the task
 /// bodies and the recovery path (which inserts adopted locations between
@@ -734,17 +729,19 @@ fn run_worker(
     // When the assignment asks for observation, install a wall-clock
     // recorder process-wide: the core session's lock-wait hooks, the
     // gateway's request/release events and the serving threads' grant
-    // events all land in it.  The offset estimate is the NTP midpoint of
-    // the Hello→Assignment handshake's two one-way legs, in coordinator
-    // clock minus worker clock.
+    // events all land in it.  Its one sampler cuts every delta this
+    // worker ships.  The offset estimate is the NTP midpoint of the
+    // Hello→Assignment handshake's two one-way legs, in coordinator clock
+    // minus worker clock.
     let obs = assignment.obs.as_ref().map(|spec| {
         let offset_us = ((spec.hello_recv_us as f64 - hello_send_us as f64)
             + (spec.assign_send_us as f64 - assign_recv_us as f64))
             / 2.0;
-        let recorder = Arc::new(Recorder::new(ClockKind::Wall, spec.config()));
+        let recorder = Recorder::new(ClockKind::Wall, spec.config());
         let registration = orwl_obs::install(&recorder);
-        (recorder, registration, offset_us)
+        (DeltaSampler::new(recorder, offset_us), registration)
     });
+    let (mut sampler, registration) = obs.unzip();
 
     // The locations this worker owns, keyed by global task index.  The
     // serving thread and the local task bodies share the same Arcs, so
@@ -789,8 +786,8 @@ fn run_worker(
     }
 
     // Maps the process-local `LocationId` of every owned location to its
-    // global task index — both the streamed deltas and the final snapshot
-    // must speak the global location namespace.
+    // global task index — every delta must speak the global location
+    // namespace.
     let global_of: SharedGlobals = Arc::new(RwLock::new(
         locations
             .read()
@@ -804,23 +801,19 @@ fn run_worker(
 
     // Live runs stream telemetry from `Start` until `Shutdown`: one
     // heartbeat (and, when anything happened, one interval delta) per
-    // configured interval, interleaved on the shared control stream.
-    let streamer = obs.as_ref().and_then(|(recorder, _, offset_us)| {
-        let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
-        let stall = Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0));
-        let drop_first = faults.drop_heartbeats(assignment.node);
-        (interval_ms > 0).then(|| {
-            Streamer::spawn(
-                Arc::clone(&control.writer),
-                Arc::clone(recorder),
-                Arc::clone(&global_of),
-                assignment.node as u32,
-                Duration::from_millis(interval_ms),
-                *offset_us,
-                stall,
-                drop_first,
-            )
-        })
+    // configured interval, interleaved on the shared control stream.  The
+    // streamer owns the sampler until it is stopped.
+    let interval_ms = assignment.obs.as_ref().map_or(0, |spec| spec.stream_interval_ms);
+    let streamer = sampler.take_if(|_| interval_ms > 0).map(|sampler| {
+        Streamer::spawn(
+            Arc::clone(&control.writer),
+            sampler,
+            Arc::clone(&global_of),
+            assignment.node as u32,
+            Duration::from_millis(interval_ms),
+            Duration::from_millis(faults.stall_ms(assignment.node).unwrap_or(0)),
+            faults.drop_heartbeats(assignment.node),
+        )
     });
 
     let mut work = WorkState::new(assignment);
@@ -864,34 +857,25 @@ fn run_worker(
         Ok(())
     })();
 
-    // The streamer owns a recorder Arc and the drain below needs the
-    // recorder unique, so the join happens before any telemetry work —
-    // and before bailing on a failed run.
-    if let Some(streamer) = streamer {
-        streamer.stop();
-    }
+    // The streamer is joined before the final delta, so that delta is the
+    // stream's last — and before bailing on a failed run.
+    let streamed = streamer.map(Streamer::stop).transpose();
     run_outcome?;
+    let sampler = streamed?.or(sampler);
 
-    // Drain and ship the telemetry after the Shutdown barrier: the
-    // coordinator only broadcasts it once *every* node has reported Done,
-    // at which point every section anywhere has been granted and released
-    // — so the serving threads' grant events are all in the rings by now
-    // and the drain loses nothing.  (Draining at Done instead would race
-    // a slow peer's read storm against our own early finish.)
-    if let Some((recorder, registration, offset_us)) = obs {
+    // Ship the final delta after the Shutdown barrier: the coordinator
+    // only broadcasts it once *every* node has reported Done, at which
+    // point every section anywhere has been granted and released — so the
+    // serving threads' grant events are all in the rings by now and the
+    // drain loses nothing.  (Draining at Done instead would race a slow
+    // peer's read storm against our own early finish.)  It is sent even
+    // when empty: it closes the stream.
+    if let (Some(mut sampler), Some(registration)) = (sampler, registration) {
         drop(registration); // stop the hooks before draining
-        let origin_us = recorder.origin_us() as f64;
-        let recorder = Arc::try_unwrap(recorder).map_err(|_| "recorder still shared at drain".to_string())?;
-        let mut telemetry = recorder.finish("proc");
-        {
-            let globals = global_of.read().map_err(|_| "location namespace map poisoned".to_string())?;
-            remap_lock_wait_locations(&mut telemetry.events, &globals);
-        }
-        cap_events(&mut telemetry, MAX_UPLOAD_EVENTS);
-        let snapshot = TelemetrySnapshot::from_telemetry(telemetry, origin_us, offset_us).encode();
+        let delta = cut_delta(&mut sampler, &global_of).encode();
         control
-            .send(&Message::TelemetryUpload { node: assignment.node as u32, snapshot })
-            .map_err(|e| format!("uploading telemetry: {e}"))?;
+            .send(&Message::TelemetryDelta { node: assignment.node as u32, delta })
+            .map_err(|e| format!("shipping the final telemetry delta: {e}"))?;
     }
 
     // Order matters: every task body has returned by now (the session run
@@ -980,47 +964,36 @@ fn apply_recovery(
     Ok(())
 }
 
-/// The worker's live-telemetry streamer: one background thread sampling
-/// the recorder into interval deltas and interleaving `Heartbeat` /
-/// `TelemetryDelta` frames on the shared control stream, from `Start`
-/// until [`Streamer::stop`].  Every wait is on the stop channel, so a
-/// stop never waits out an interval or a stall.
+/// The worker's live-telemetry streamer: one background thread cutting
+/// interval deltas from the worker's sampler and interleaving `Heartbeat`
+/// / `TelemetryDelta` frames on the shared control stream, from `Start`
+/// until [`Streamer::stop`], which hands the sampler back.  Every wait is
+/// on the stop channel, so a stop never waits out an interval or a stall.
 struct Streamer {
     stop: mpsc::Sender<()>,
-    handle: std::thread::JoinHandle<()>,
+    handle: std::thread::JoinHandle<DeltaSampler>,
 }
 
 impl Streamer {
-    #[allow(clippy::too_many_arguments)]
     fn spawn(
         control: Arc<Mutex<FramedStream>>,
-        recorder: Arc<Recorder>,
+        mut sampler: DeltaSampler,
         global_of: SharedGlobals,
         node: u32,
         interval: Duration,
-        offset_us: f64,
         stall: Duration,
         drop_first: u64,
     ) -> Streamer {
         let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::spawn(move || {
-            let mut sampler = DeltaSampler::new(recorder, offset_us);
             let mut seq = 0u64;
             // Injected initial silence (straggler tests only; zero in
             // production runs).
             if !stall.is_zero() && stopped.recv_timeout(stall) != Err(mpsc::RecvTimeoutError::Timeout) {
-                return;
+                return sampler;
             }
             while stopped.recv_timeout(interval) == Err(mpsc::RecvTimeoutError::Timeout) {
-                let mut delta = sampler.sample();
-                if let Ok(globals) = global_of.read() {
-                    remap_lock_wait_locations(&mut delta.events, &globals);
-                }
-                if delta.events.len() > MAX_DELTA_EVENTS {
-                    let excess = delta.events.len() - MAX_DELTA_EVENTS;
-                    delta.events.drain(..excess);
-                    delta.dropped += excess as u64;
-                }
+                let delta = cut_delta(&mut sampler, &global_of);
                 // The heartbeat-drop fault swallows the first `drop_first`
                 // beats (the seq keeps counting, deltas keep flowing) —
                 // the minimal signal loss that trips straggler detection.
@@ -1029,45 +1002,46 @@ impl Streamer {
                     (!delta.is_empty()).then(|| Message::TelemetryDelta { node, delta: delta.encode() });
                 for frame in beat.iter().chain(&delta) {
                     if !control.lock().is_ok_and(|mut stream| stream.send(frame).is_ok()) {
-                        return; // coordinator gone: the main thread will fail too
+                        return sampler; // coordinator gone: the main thread will fail too
                     }
                 }
                 seq += 1;
             }
+            sampler
         });
         Streamer { stop, handle }
     }
 
-    /// Signals the streaming thread and joins it, releasing its recorder
-    /// Arc so the caller can drain.
-    fn stop(self) {
+    /// Signals the streaming thread and joins it, so no interval delta
+    /// can follow the final one, and takes the sampler back.
+    fn stop(self) -> Result<DeltaSampler, String> {
         drop(self.stop);
-        let _ = self.handle.join();
+        self.handle.join().map_err(|_| "the telemetry streamer panicked".to_string())
     }
 }
 
-/// Rewrites the `location` of core-emitted `LockWait` events from the
-/// process-local `LocationId` to the global task index, so merged
-/// timelines speak one location namespace.  (The wire-level
-/// request/grant/release events already carry global indices.)
-fn remap_lock_wait_locations(events: &mut [ObsEvent], global_of: &HashMap<u64, u64>) {
-    for ev in events {
+/// Cuts the next delta from the worker's one sampler: rewrites the
+/// `location` of core-emitted `LockWait` events from the process-local
+/// `LocationId` to the global task index, so merged timelines speak one
+/// location namespace (the wire-level request/grant/release events already
+/// carry global indices), and keeps the newest [`MAX_DELTA_EVENTS`],
+/// folding the rest into the drop counter.
+fn cut_delta(sampler: &mut DeltaSampler, global_of: &SharedGlobals) -> TelemetryDelta {
+    let mut delta = sampler.sample();
+    let globals = global_of.read().unwrap_or_else(PoisonError::into_inner);
+    for ev in &mut delta.events {
         if let EventKind::LockWait { location, .. } = &mut ev.kind {
-            if let Some(&task) = global_of.get(location) {
+            if let Some(&task) = globals.get(location) {
                 *location = task;
             }
         }
     }
-}
-
-/// Keeps the newest `max` events (by sequence), folding the remainder
-/// into the drop counter — bounds the upload independent of ring sizing.
-fn cap_events(t: &mut RunTelemetry, max: usize) {
-    if t.events.len() > max {
-        let excess = t.events.len() - max;
-        t.events.drain(..excess);
-        t.dropped += excess as u64;
+    if delta.events.len() > MAX_DELTA_EVENTS {
+        let excess = delta.events.len() - MAX_DELTA_EVENTS;
+        delta.events.drain(..excess);
+        delta.dropped += excess as u64;
     }
+    delta
 }
 
 fn compose_metrics(

@@ -17,7 +17,8 @@
 //! `Scatter`.
 //!
 //! With `--obs-dir DIR` the hierarchical proc run is observed: every
-//! worker ships its telemetry back over the control socket and the merged
+//! worker ships its telemetry home over the control socket as telemetry
+//! deltas (without `--live`, one final delta after the run) and the merged
 //! clock-aligned timeline lands in `DIR` as `merged.obs.json` (one
 //! `orwl-obs/v1` document spanning every process), `node<k>.obs.json`
 //! per worker track, and `merged.trace.json` (a Chrome trace with one
@@ -36,14 +37,15 @@
 //! ```
 //!
 //! Live runs use a longer schedule so the run spans many intervals; the
-//! merged post-run document is identical either way (streamed deltas are
-//! folded back into the final upload, deduplicated by event sequence).
+//! merged post-run document is event-identical either way (a live stream
+//! is the same deltas cut more often, ending in the same final delta).
 //!
 //! With `--kill NODE:MS` the hierarchical run doubles as a chaos drill:
 //! worker `NODE` SIGKILLs itself `MS` milliseconds after Start (no
 //! unwinding, no goodbye) and the coordinator must confirm the loss,
 //! re-shard the dead node's tasks onto the survivors, and complete the
-//! run degraded.  `--kill` implies `--live` (recovery rides the live
+//! run degraded.  With `--obs-dir` as well, the dead node keeps its
+//! `node<NODE>.obs.json`: its telemetry up to its last shipped interval.  `--kill` implies `--live` (recovery rides the live
 //! monitor) and prints a `[recover]` summary line; the hierarchical ≤
 //! scatter traffic assertion is skipped because a degraded run's traffic
 //! is not comparable:

@@ -1,8 +1,8 @@
 //! End-to-end acceptance of live telemetry on the multi-process backend:
 //! a live run must (a) surface several heartbeat intervals per worker
-//! *while the run is still executing*, (b) merge its streamed deltas with
-//! the final upload into a timeline event-identical to a plain observed
-//! run of the same scenario, (c) flag a worker whose heartbeats stall as
+//! *while the run is still executing*, (b) merge its streamed deltas and
+//! the final one into a timeline event-identical to a plain observed run
+//! of the same scenario (whose stream is that final delta alone), (c) flag a worker whose heartbeats stall as
 //! a straggler — and recover it — without failing the run, and (d) keep
 //! worker crashes typed under the live monitor's polling loop.
 //!
@@ -116,7 +116,7 @@ fn live_runs_stream_heartbeats_and_merge_to_the_plain_timeline() {
     assert_eq!(counter(&live_doc, "live.duplicate_deltas"), Some(0.0));
     assert!(counter(&live_doc, "live.delta_bytes").unwrap_or(0.0) > 0.0);
 
-    // (b) Merging streamed deltas with the final upload loses and
+    // (b) Merging streamed deltas with the final one loses and
     // duplicates nothing: a plain observed run of the same scenario has
     // the identical event population (per kind, per track) and drop
     // count.  Timing histograms and the live.* bookkeeping counters

@@ -2,8 +2,9 @@
 //! backend: a worker SIGKILLed mid-run (via the typed fault plan) must
 //! not take the run down — the coordinator confirms the loss, re-shards
 //! the dead node's tasks onto the survivors, and the run completes
-//! degraded with the loss and the recovery on the telemetry record —
-//! and, without any telemetry, still completes degraded.
+//! degraded with the loss, the recovery and the victim's own streamed
+//! telemetry on the record — and, without any telemetry, still completes
+//! degraded.
 //! Without recovery enabled the same fault must stay a *typed* failure
 //! surfaced within the protocol deadlines, and the worker pool's
 //! teardown must reap even a worker frozen under `SIGSTOP`.
@@ -99,6 +100,15 @@ fn a_killed_worker_is_survived_by_resharding_onto_the_rest() {
     assert!(loss.0 <= recovery.0, "loss at {} must precede recovery at {}", loss.0, recovery.0);
     assert!(loss.2 >= 1, "the dead node hosted tasks");
     assert_eq!(loss.2, recovery.2, "every lost task must be migrated, no more, no fewer");
+
+    // The victim's telemetry survives it up to its last shipped interval:
+    // its track is in the merged document, with events stamped before the
+    // loss.
+    let victim = obs.tracks.iter().find(|t| t.label == "node2").expect("the lost node keeps its track");
+    assert!(
+        obs.events.iter().any(|ev| ev.track == victim.track && ev.ts_us < loss.0),
+        "node 2 must contribute events stamped before its loss"
+    );
 
     // The live counters agree with the events.
     let counter = |name: &str| {
