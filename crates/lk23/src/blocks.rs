@@ -7,7 +7,7 @@
 //! the per-pair communication volumes, and [`BlockView`] — a block's local
 //! storage with a one-cell ghost ring used by the ORWL implementation.
 
-use crate::kernel::{coeff, Grid, RELAXATION};
+use crate::kernel::{Coeffs, Grid};
 use orwl_comm::matrix::CommMatrix;
 use std::ops::Range;
 
@@ -253,15 +253,25 @@ impl BlockView {
     /// row/column order.  This is what the block *exports* to its
     /// neighbours.
     pub fn edge(&self, dir: Direction) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.edge_into(dir, &mut out);
+        out
+    }
+
+    /// [`BlockView::edge`] written into `out` (cleared first), reusing its
+    /// allocation.
+    pub fn edge_into(&self, dir: Direction, out: &mut Vec<f64>) {
+        out.clear();
+        let (last_r, last_c) = (self.rows - 1, self.cols - 1);
         match dir {
-            Direction::North => (0..self.cols).map(|c| self.interior(0, c)).collect(),
-            Direction::South => (0..self.cols).map(|c| self.interior(self.rows - 1, c)).collect(),
-            Direction::West => (0..self.rows).map(|r| self.interior(r, 0)).collect(),
-            Direction::East => (0..self.rows).map(|r| self.interior(r, self.cols - 1)).collect(),
-            Direction::NorthWest => vec![self.interior(0, 0)],
-            Direction::NorthEast => vec![self.interior(0, self.cols - 1)],
-            Direction::SouthWest => vec![self.interior(self.rows - 1, 0)],
-            Direction::SouthEast => vec![self.interior(self.rows - 1, self.cols - 1)],
+            Direction::North => out.extend((0..self.cols).map(|c| self.interior(0, c))),
+            Direction::South => out.extend((0..self.cols).map(|c| self.interior(last_r, c))),
+            Direction::West => out.extend((0..self.rows).map(|r| self.interior(r, 0))),
+            Direction::East => out.extend((0..self.rows).map(|r| self.interior(r, last_c))),
+            Direction::NorthWest => out.push(self.interior(0, 0)),
+            Direction::NorthEast => out.push(self.interior(0, last_c)),
+            Direction::SouthWest => out.push(self.interior(last_r, 0)),
+            Direction::SouthEast => out.push(self.interior(last_r, last_c)),
         }
     }
 
@@ -324,35 +334,29 @@ impl BlockView {
         }
     }
 
-    /// Padded-coordinate read used by the update (ghost ring included).
-    #[inline]
-    fn padded(&self, pr: usize, pc: usize) -> f64 {
-        self.data[self.idx(pr, pc)]
+    /// The coefficient table of this block's cells in a
+    /// `grid_rows × grid_cols` grid, for [`BlockView::update_into`].
+    pub fn coeffs(&self, grid_rows: usize, grid_cols: usize) -> Coeffs {
+        Coeffs::new(self.row0..self.row0 + self.rows, self.col0..self.col0 + self.cols, grid_rows, grid_cols)
     }
 
     /// Computes one Jacobi LK23 update of this block into `dst`, using the
-    /// ghost ring for out-of-block neighbours.  Cells on the *global* grid
-    /// boundary keep their value (same rule as the sequential reference).
-    pub fn update_into(&self, dst: &mut BlockView, grid_rows: usize, grid_cols: usize) {
-        assert_eq!(self.rows, dst.rows);
-        assert_eq!(self.cols, dst.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let gr = self.row0 + r;
-                let gc = self.col0 + c;
-                if gr == 0 || gc == 0 || gr == grid_rows - 1 || gc == grid_cols - 1 {
-                    dst.set_interior(r, c, self.interior(r, c));
-                    continue;
-                }
-                let (pr, pc) = (r + 1, c + 1);
-                let qa = self.padded(pr, pc + 1) * coeff(0, gr, gc)
-                    + self.padded(pr, pc - 1) * coeff(1, gr, gc)
-                    + self.padded(pr + 1, pc) * coeff(2, gr, gc)
-                    + self.padded(pr - 1, pc) * coeff(3, gr, gc)
-                    + coeff(4, gr, gc);
-                let za = self.interior(r, c);
-                dst.set_interior(r, c, za + RELAXATION * (qa - za));
-            }
+    /// ghost ring for out-of-block neighbours and `coeffs` from
+    /// [`BlockView::coeffs`].  Cells on the *global* grid boundary keep
+    /// their value (same rule as the sequential reference).
+    ///
+    /// # Panics
+    /// Panics when `dst` or `coeffs` covers other cells than this block.
+    pub fn update_into(&self, dst: &mut BlockView, coeffs: &Coeffs) {
+        assert_eq!((self.row0, self.col0, self.rows, self.cols), (dst.row0, dst.col0, dst.rows, dst.cols));
+        assert_eq!(coeffs.rows(), self.row0..self.row0 + self.rows, "table rows differ from the block's");
+        assert_eq!(coeffs.cols(), self.col0..self.col0 + self.cols, "table columns differ from the block's");
+        let width = self.cols + 2;
+        let padded_row = |pr: usize| &self.data[pr * width..(pr + 1) * width];
+        for (r, out) in dst.data.chunks_exact_mut(width).skip(1).take(self.rows).enumerate() {
+            // Interior row `r` is padded row `r + 1`.
+            let (north, here, south) = (padded_row(r), padded_row(r + 1), padded_row(r + 2));
+            coeffs.update_row(self.row0 + r, north, here, south, &mut out[1..=self.cols]);
         }
     }
 
@@ -470,7 +474,46 @@ mod tests {
         // The south edge of the top block becomes the north ghost of the
         // bottom block.
         other.set_ghost(Direction::North, &view.edge(Direction::South));
-        assert_eq!(other.padded(0, 1), view.interior(3, 0));
+        assert_eq!(other.data[other.idx(0, 1)], view.interior(3, 0));
+    }
+
+    #[test]
+    fn edge_into_replaces_the_buffer_contents_with_the_edge() {
+        let grid = Grid::initial(9, 7);
+        let view = BlockView::from_grid(&grid, 2..6, 1..4);
+        let mut buf = vec![9.0; 16];
+        for dir in Direction::all() {
+            view.edge_into(dir, &mut buf);
+            assert_eq!(buf, view.edge(dir), "{dir:?}");
+        }
+    }
+
+    #[test]
+    fn block_tables_equal_the_closed_form_on_an_uneven_split() {
+        let d = BlockDecomposition::new(10, 7, 3, 2).unwrap();
+        let grid = Grid::initial(10, 7);
+        for idx in 0..d.n_blocks() {
+            let (bi, bj) = d.block_coords(idx);
+            let view = BlockView::from_grid(&grid, d.row_range(bi), d.col_range(bj));
+            let table = view.coeffs(10, 7);
+            for r in d.row_range(bi) {
+                for c in d.col_range(bj) {
+                    for field in 0..5 {
+                        let (t, f) = (table.get(field, r, c), crate::kernel::coeff(field, r, c));
+                        assert_eq!(t.to_bits(), f.to_bits(), "block {idx}, field {field} at ({r},{c})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "table rows")]
+    fn update_with_another_blocks_table_panics() {
+        let grid = Grid::initial(8, 8);
+        let view = BlockView::from_grid(&grid, 0..4, 0..4);
+        let other = BlockView::from_grid(&grid, 4..8, 0..4);
+        view.update_into(&mut view.clone(), &other.coeffs(8, 8));
     }
 
     #[test]
@@ -508,7 +551,7 @@ mod tests {
         let mut result = Grid::zeros(n, n);
         for view in &views {
             let mut dst = view.clone();
-            view.update_into(&mut dst, n, n);
+            view.update_into(&mut dst, &view.coeffs(n, n));
             dst.write_back(&mut result);
         }
         let reference = reference_jacobi(&grid, 1);

@@ -9,9 +9,10 @@
 //! barrier), and swaps the buffers.
 //!
 //! The update is the same Jacobi sweep as the sequential reference, so the
-//! result is verified to be *identical* to `reference_jacobi`.
+//! result is verified to be *identical* to `reference_jacobi`.  The
+//! coefficient table is built once per run and shared by every band.
 
-use crate::kernel::{update_point, Grid};
+use crate::kernel::{sweep_rows, Coeffs, Grid};
 
 /// Runs `iterations` LK23 sweeps over `initial` using `n_threads` fork-join
 /// workers and returns the final grid.
@@ -22,6 +23,7 @@ pub fn run_openmp_like(initial: &Grid, iterations: usize, n_threads: usize) -> G
     assert!(n_threads > 0, "at least one worker thread is required");
     let rows = initial.rows();
     let cols = initial.cols();
+    let coeffs = Coeffs::for_grid(rows, cols);
     let mut src = initial.clone();
     let mut dst = Grid::zeros(rows, cols);
 
@@ -29,13 +31,11 @@ pub fn run_openmp_like(initial: &Grid, iterations: usize, n_threads: usize) -> G
         {
             // Split the destination into contiguous row bands, one per
             // worker (OpenMP static scheduling).
-            let src_ref = &src;
+            let (src_ref, coeffs) = (&src, &coeffs);
             let bands = split_rows_mut(dst.as_mut_slice(), rows, cols, n_threads);
             std::thread::scope(|scope| {
                 for (row_start, band) in bands {
-                    scope.spawn(move || {
-                        compute_band(src_ref, band, row_start, cols);
-                    });
+                    scope.spawn(move || sweep_rows(src_ref, coeffs, row_start, band));
                 }
             });
             // Implicit barrier: `scope` joins every worker before returning.
@@ -64,28 +64,10 @@ fn split_rows_mut(data: &mut [f64], rows: usize, cols: usize, parts: usize) -> V
     out
 }
 
-/// Computes the Jacobi update of the rows `[row_start, row_start + band_rows)`
-/// into `band`, reading the previous iterate from `src`.
-fn compute_band(src: &Grid, band: &mut [f64], row_start: usize, cols: usize) {
-    let rows = src.rows();
-    let band_rows = band.len() / cols;
-    for lr in 0..band_rows {
-        let r = row_start + lr;
-        for c in 0..cols {
-            let v = if r == 0 || c == 0 || r == rows - 1 || c == cols - 1 {
-                src.get(r, c)
-            } else {
-                update_point(src, r, c)
-            };
-            band[lr * cols + c] = v;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::reference_jacobi;
+    use crate::kernel::{naive, reference_jacobi};
 
     #[test]
     fn single_thread_matches_reference_exactly() {
@@ -102,6 +84,15 @@ mod tests {
             let parallel = run_openmp_like(&g0, 3, threads);
             let reference = reference_jacobi(&g0, 3);
             assert_eq!(parallel.max_abs_diff(&reference), 0.0, "mismatch with {threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_thread_count_is_bit_identical_to_the_naive_kernel() {
+        let g0 = Grid::initial(37, 29);
+        let expected = naive::reference_jacobi(&g0, 6);
+        for threads in [1, 2, 7] {
+            naive::assert_bit_identical(&run_openmp_like(&g0, 6, threads), &expected);
         }
     }
 

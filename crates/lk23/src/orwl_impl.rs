@@ -18,8 +18,11 @@ use crate::blocks::{BlockDecomposition, BlockView, Direction};
 use crate::kernel::Grid;
 use orwl_core::prelude::*;
 use orwl_core::Location;
-use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A block's frontier locations, or its handles on them, one per existing
+/// neighbour direction in `Direction::all()` order.
+type PerDirection<T> = Vec<(Direction, T)>;
 
 /// Everything needed to run the ORWL LK23 program and collect its result.
 pub struct Lk23OrwlProgram {
@@ -59,63 +62,66 @@ pub fn build_program(
 
     // Frontier locations: one per (block, existing neighbour direction),
     // initialised with the block's initial edge so that the very first read
-    // of a neighbour observes iteration-0 data.
-    let mut frontiers: Vec<HashMap<Direction, Arc<Location<Vec<f64>>>>> = Vec::with_capacity(n_blocks);
-    for (idx, view) in views.iter().enumerate() {
-        let mut per_dir = HashMap::new();
-        for dir in Direction::all() {
-            if decomposition.neighbor(idx, dir).is_some() {
-                per_dir.insert(dir, Location::new(format!("block-{idx}-frontier-{dir:?}"), view.edge(dir)));
-            }
-        }
-        frontiers.push(per_dir);
-    }
+    // of a neighbour observes iteration-0 data.  Keeping everything in
+    // `Direction::all()` order makes every task acquire its handles in the
+    // same order on every run.
+    let frontiers: Vec<PerDirection<Arc<Location<Vec<f64>>>>> = views
+        .iter()
+        .enumerate()
+        .map(|(idx, view)| {
+            Direction::all()
+                .into_iter()
+                .filter(|&dir| decomposition.neighbor(idx, dir).is_some())
+                .map(|dir| (dir, Location::new(format!("block-{idx}-frontier-{dir:?}"), view.edge(dir))))
+                .collect()
+        })
+        .collect();
+    let frontier = |idx: usize, dir: Direction| {
+        let (_, loc) =
+            frontiers[idx].iter().find(|(d, _)| *d == dir).expect("frontier exists for a neighbour");
+        loc
+    };
 
     // Deterministic initialisation phase (the ORWL model's "init" step):
     // post every owner's write request first, then every neighbour's read
     // request, so the per-location schedule alternates write → read.
-    let mut write_handles: Vec<HashMap<Direction, Handle<Vec<f64>>>> = Vec::with_capacity(n_blocks);
-    for block_frontiers in frontiers.iter().take(n_blocks) {
-        let mut per_dir = HashMap::new();
-        for (&dir, loc) in block_frontiers {
-            let mut h = loc.iterative_handle(AccessMode::Write);
-            h.request().expect("fresh handle has no pending request");
-            per_dir.insert(dir, h);
-        }
-        write_handles.push(per_dir);
-    }
-    let mut read_handles: Vec<HashMap<Direction, Handle<Vec<f64>>>> = Vec::with_capacity(n_blocks);
-    for idx in 0..n_blocks {
-        let mut per_dir = HashMap::new();
-        for dir in Direction::all() {
-            if let Some(nb) = decomposition.neighbor(idx, dir) {
-                let loc = &frontiers[nb][&dir.opposite()];
-                let mut h = loc.iterative_handle(AccessMode::Read);
-                h.request().expect("fresh handle has no pending request");
-                per_dir.insert(dir, h);
-            }
-        }
-        read_handles.push(per_dir);
-    }
+    let posted = |dir: Direction, loc: &Arc<Location<Vec<f64>>>, mode: AccessMode| {
+        let mut h = loc.iterative_handle(mode);
+        h.request().expect("fresh handle has no pending request");
+        (dir, h)
+    };
+    let write_handles: Vec<PerDirection<Handle<Vec<f64>>>> = frontiers
+        .iter()
+        .map(|block| block.iter().map(|(dir, loc)| posted(*dir, loc, AccessMode::Write)).collect())
+        .collect();
+    let read_handles: Vec<PerDirection<Handle<Vec<f64>>>> = (0..n_blocks)
+        .map(|idx| {
+            Direction::all()
+                .into_iter()
+                .filter_map(|dir| decomposition.neighbor(idx, dir).map(|nb| (dir, nb)))
+                .map(|(dir, nb)| posted(dir, frontier(nb, dir.opposite()), AccessMode::Read))
+                .collect()
+        })
+        .collect();
 
     // Assemble the program: one task per block.
     let mut program = OrwlProgram::new();
     let mut write_iter = write_handles.into_iter();
     let mut read_iter = read_handles.into_iter();
     for (idx, view) in views.into_iter().enumerate() {
-        let my_writes = write_iter.next().expect("one write-handle map per block");
-        let my_reads = read_iter.next().expect("one read-handle map per block");
+        let my_writes = write_iter.next().expect("one write-handle list per block");
+        let my_reads = read_iter.next().expect("one read-handle list per block");
         let main_loc = Arc::clone(&result_blocks[idx]);
 
         // Declared links: the communication matrix the placement add-on
         // extracts.  Frontier writes/reads carry the halo volumes; the main
         // location carries the block's private working set.
         let mut links = vec![LocationLink::write(main_loc.id(), (view.rows * view.cols) as f64 * elem)];
-        for &dir in my_writes.keys() {
-            links.push(LocationLink::write(frontiers[idx][&dir].id(), view.edge_bytes(dir)));
+        for (dir, loc) in &frontiers[idx] {
+            links.push(LocationLink::write(loc.id(), view.edge_bytes(*dir)));
         }
-        for (&dir, h) in &my_reads {
-            links.push(LocationLink::read(h.location().id(), view.edge_bytes(dir)));
+        for (dir, h) in &my_reads {
+            links.push(LocationLink::read(h.location().id(), view.edge_bytes(*dir)));
         }
 
         program.add_task(TaskSpec::new(format!("lk23-block-{idx}"), links), move |_ctx| {
@@ -129,27 +135,28 @@ pub fn build_program(
 /// The body of one block task.
 fn run_block_task(
     mut cur: BlockView,
-    mut write_handles: HashMap<Direction, Handle<Vec<f64>>>,
-    mut read_handles: HashMap<Direction, Handle<Vec<f64>>>,
+    mut write_handles: PerDirection<Handle<Vec<f64>>>,
+    mut read_handles: PerDirection<Handle<Vec<f64>>>,
     main_loc: Arc<Location<BlockView>>,
     iterations: usize,
     grid_rows: usize,
     grid_cols: usize,
 ) {
+    let coeffs = cur.coeffs(grid_rows, grid_cols);
     let mut next = cur.clone();
     for _iter in 0..iterations {
         // 1. Export the current frontiers (state of this iteration).
-        for (&dir, handle) in write_handles.iter_mut() {
+        for (dir, handle) in &mut write_handles {
             let mut guard = handle.acquire().expect("iterative write handle always has a request");
-            *guard = cur.edge(dir);
+            cur.edge_into(*dir, &mut guard);
         }
         // 2. Import the neighbours' frontiers into the ghost ring.
-        for (&dir, handle) in read_handles.iter_mut() {
+        for (dir, handle) in &mut read_handles {
             let guard = handle.acquire().expect("iterative read handle always has a request");
-            cur.set_ghost(dir, &guard);
+            cur.set_ghost(*dir, &guard);
         }
         // 3. Compute the next state.
-        cur.update_into(&mut next, grid_rows, grid_cols);
+        cur.update_into(&mut next, &coeffs);
         std::mem::swap(&mut cur, &mut next);
     }
     // Publish the final block state through the main location.
@@ -179,7 +186,7 @@ pub fn run_orwl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::reference_jacobi;
+    use crate::kernel::{naive, reference_jacobi};
     use orwl_topo::synthetic;
 
     fn initial(n: usize) -> Grid {
@@ -231,6 +238,19 @@ mod tests {
         // The TreeMatch placement bound every block task.
         assert!(report.plan.placement.bound_fraction() > 0.99);
         assert!(!binder.anonymous_bindings().is_empty());
+    }
+
+    #[test]
+    fn uneven_decompositions_are_bit_identical_to_the_naive_kernel() {
+        // Uneven splits whose edge blocks lie on every side of the global
+        // boundary, single-row and single-column blocks included.
+        let session = nobind_session(synthetic::laptop());
+        for (rows, cols, br, bc) in [(23, 17, 3, 4), (10, 7, 3, 2), (9, 13, 9, 1), (6, 11, 2, 11)] {
+            let g = Grid::initial(rows, cols);
+            let d = BlockDecomposition::new(rows, cols, br, bc).unwrap();
+            let (result, _) = run_orwl(&g, d, 5, &session).unwrap();
+            naive::assert_bit_identical(&result, &naive::reference_jacobi(&g, 5));
+        }
     }
 
     #[test]

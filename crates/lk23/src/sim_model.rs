@@ -74,8 +74,13 @@ impl Lk23Workload {
     ///
     /// Each grid point streams [`SIM_BYTES_PER_POINT`] bytes per sweep: the
     /// old and new `ZA` values plus the five coefficient fields of the
-    /// original kernel (7 × 8 bytes), which is what the real memory system
-    /// would move even though the Rust kernel recomputes the coefficients.
+    /// original kernel (7 × 8 bytes).  The Rust kernel
+    /// ([`crate::kernel::Coeffs`]) stores no coefficient field: it keeps
+    /// separable per-row and per-column factors, a few kilobytes per block
+    /// that stay in cache, so it streams only `ZA`.  The simulator keeps the
+    /// paper's 56 bytes because it models the paper's kernel, whose stored
+    /// fields are the memory traffic behind Figure 1's locality effects;
+    /// charging 16 bytes would model this reproduction instead.
     pub fn task_graph(&self) -> TaskGraph {
         let d = self.decomposition();
         let tasks = (0..d.n_blocks())
